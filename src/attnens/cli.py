@@ -104,9 +104,12 @@ def _parse_run_config(raw: dict, context: str):
     for key in ("data_dir", "out_dir", "model"):
         if key not in raw:
             raise ConfigError(f"{context}: missing required key {key!r}")
-    seed = int(raw.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"{context}: seed must be non-negative")
+    seed = raw.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"{context}: seed must be a non-negative int, got {seed!r}")
+    for key in ("data_dir", "out_dir"):
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"{context}: {key} must be a string, got {raw[key]!r}")
     model_config = config_from_dict(raw["model"])
     train_config = train_config_from_dict(raw.get("train", {}))
     return seed, raw["data_dir"], raw["out_dir"], model_config, train_config

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, reject_unknown_keys
+from .errors import ConfigError, ShapeError, decode_config, encode_config
 
 
 def _sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: str) -> np.ndarray:
@@ -164,23 +164,8 @@ def augment(
 
 
 def augment_config_to_dict(cfg: AugmentConfig) -> dict:
-    return {
-        "rotation_deg": cfg.rotation_deg,
-        "h_flip": cfg.h_flip,
-        "width_shift_frac": cfg.width_shift_frac,
-        "height_shift_frac": cfg.height_shift_frac,
-    }
+    return encode_config(cfg)
 
 
-def augment_config_from_dict(d: dict) -> AugmentConfig:
-    reject_unknown_keys(
-        d,
-        {"rotation_deg", "h_flip", "width_shift_frac", "height_shift_frac"},
-        "augment config",
-    )
-    return AugmentConfig(
-        rotation_deg=float(d.get("rotation_deg", 23.0)),
-        h_flip=bool(d.get("h_flip", True)),
-        width_shift_frac=float(d.get("width_shift_frac", 0.2)),
-        height_shift_frac=float(d.get("height_shift_frac", 0.2)),
-    )
+def augment_config_from_dict(d) -> AugmentConfig:
+    return decode_config(AugmentConfig, d, "augment config")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attention import AttentionConfig, AttentionParams, ca_backward, ca_forward
-from .errors import ConfigError, ShapeError, TransferError, reject_unknown_keys
+from .errors import ConfigError, ShapeError, TransferError, decode_config, encode_config
 from .layers import (
     ForwardMode,
     LayerParams,
@@ -273,10 +273,6 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     return Model(config=config, params=params)
 
 
-def _attention_params(model: Model) -> AttentionParams:
-    return AttentionParams(reduce=model.param("attn_reduce"), expand=model.param("attn_expand"))
-
-
 def forward_cached(model: Model, batch: np.ndarray, mode: ForwardMode):
     """Run the full network, returning (probs, tape) for backpropagation.
 
@@ -287,10 +283,11 @@ def forward_cached(model: Model, batch: np.ndarray, mode: ForwardMode):
         raise ShapeError(
             f"batch shape {batch.shape} does not match expected (N, {c}, {h}, {w})"
         )
+    params = {p.name: p for p in model.params}
     tape = []
     x = batch
     for i in range(len(model.config.backbone)):
-        p = model.param(f"conv{i + 1}")
+        p = params[f"conv{i + 1}"]
         x, cache = conv2d_forward(x, p, stride=1, padding="same")
         tape.append(("conv", p.name, cache))
         x, cache = relu_forward(x)
@@ -299,12 +296,13 @@ def forward_cached(model: Model, batch: np.ndarray, mode: ForwardMode):
             x, cache = maxpool2d_forward(x)
             tape.append(("maxpool", "", cache))
     if model.config.attention is not None:
-        x, _, cache = ca_forward(x, _attention_params(model))
+        attention = AttentionParams(reduce=params["attn_reduce"], expand=params["attn_expand"])
+        x, _, cache = ca_forward(x, attention)
         tape.append(("attention", "", cache))
     x, cache = gap_forward(x)
     tape.append(("gap", "", cache))
     for i in range(len(model.config.head)):
-        p = model.param(f"fc{i + 1}")
+        p = params[f"fc{i + 1}"]
         x, cache = dense_forward(x, p)
         tape.append(("dense", p.name, cache))
         x, cache = relu_forward(x)
@@ -314,7 +312,7 @@ def forward_cached(model: Model, batch: np.ndarray, mode: ForwardMode):
             drop_mode = ForwardMode.train(derive_seed(mode.dropout_seed, i))
         x, mask = dropout_forward(x, model.config.dropout_rate, drop_mode)
         tape.append(("dropout", "", mask))
-    p = model.param("logits")
+    p = params["logits"]
     logits, cache = dense_forward(x, p)
     tape.append(("dense", p.name, cache))
     probs = softmax_forward(logits)
@@ -327,33 +325,43 @@ def forward(model: Model, batch: np.ndarray, mode: ForwardMode | None = None) ->
     return probs
 
 
+def _weight_grads(name: str, result):
+    grad, gw, gb = result
+    return grad, {f"{name}.weight": gw, f"{name}.bias": gb}
+
+
+def _attention_backward(name: str, cache, grad):
+    grad, g = ca_backward(cache, grad)
+    return grad, {
+        "attn_reduce.weight": g["reduce"][0],
+        "attn_reduce.bias": g["reduce"][1],
+        "attn_expand.weight": g["expand"][0],
+        "attn_expand.bias": g["expand"][1],
+    }
+
+
+# Tape kind -> (name, cache, upstream grad) -> (input grad, parameter grads).
+# The entries name the layer functions inside their bodies, so they resolve
+# through this module's attributes at call time and a wrapper installed on
+# ``attnens.model.<function>`` sees every call.
+_BACKWARD = {
+    "conv": lambda name, cache, grad: _weight_grads(name, conv2d_backward(cache, grad)),
+    "dense": lambda name, cache, grad: _weight_grads(name, dense_backward(cache, grad)),
+    "relu": lambda name, cache, grad: (relu_backward(cache, grad), {}),
+    "maxpool": lambda name, cache, grad: (maxpool2d_backward(cache, grad), {}),
+    "dropout": lambda name, cache, grad: (dropout_backward(cache, grad), {}),
+    "gap": lambda name, cache, grad: (gap_backward(cache, grad), {}),
+    "attention": _attention_backward,
+}
+
+
 def backward(model: Model, tape, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Walk the tape in reverse, returning '<layer>.weight'/'<layer>.bias' grads."""
     grads: dict[str, np.ndarray] = {}
     grad = grad_logits
     for kind, name, cache in reversed(tape):
-        if kind == "conv":
-            grad, gw, gb = conv2d_backward(cache, grad)
-            grads[f"{name}.weight"] = gw
-            grads[f"{name}.bias"] = gb
-        elif kind == "dense":
-            grad, gw, gb = dense_backward(cache, grad)
-            grads[f"{name}.weight"] = gw
-            grads[f"{name}.bias"] = gb
-        elif kind == "relu":
-            grad = relu_backward(cache, grad)
-        elif kind == "maxpool":
-            grad = maxpool2d_backward(cache, grad)
-        elif kind == "dropout":
-            grad = dropout_backward(cache, grad)
-        elif kind == "gap":
-            grad = gap_backward(cache, grad)
-        elif kind == "attention":
-            grad, attn_grads = ca_backward(cache, grad)
-            grads["attn_reduce.weight"], grads["attn_reduce.bias"] = attn_grads["reduce"]
-            grads["attn_expand.weight"], grads["attn_expand.bias"] = attn_grads["expand"]
-        else:
-            raise RuntimeError(f"unknown tape entry {kind!r}")
+        grad, layer_grads = _BACKWARD[kind](name, cache, grad)
+        grads.update(layer_grads)
     return grads
 
 
@@ -405,62 +413,11 @@ def transfer(
 
 
 def config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "input_size": list(config.input_size),
-        "backbone": [
-            {"out_channels": b.out_channels, "kernel": b.kernel, "pool": b.pool}
-            for b in config.backbone
-        ],
-        "num_classes": config.num_classes,
-        "head": list(config.head),
-        "attention": (
-            None
-            if config.attention is None
-            else {"channels": config.attention.channels, "reduction": config.attention.reduction}
-        ),
-        "dropout_rate": config.dropout_rate,
-    }
+    return encode_config(config)
 
 
-def config_from_dict(d: dict) -> ModelConfig:
-    reject_unknown_keys(
-        d,
-        {"input_size", "backbone", "num_classes", "head", "attention", "dropout_rate"},
-        "model config",
-    )
-    for key in ("input_size", "backbone", "num_classes"):
-        if key not in d:
-            raise ConfigError(f"model config: missing required key {key!r}")
-    blocks = []
-    for i, b in enumerate(d["backbone"]):
-        if isinstance(b, int):
-            b = {"out_channels": b}
-        if not isinstance(b, dict):
-            raise ConfigError(f"backbone block {i}: expected int or mapping, got {type(b).__name__}")
-        reject_unknown_keys(b, {"out_channels", "kernel", "pool"}, f"backbone block {i}")
-        if "out_channels" not in b:
-            raise ConfigError(f"backbone block {i}: missing out_channels")
-        blocks.append(
-            ConvBlockConfig(
-                out_channels=int(b["out_channels"]),
-                kernel=int(b.get("kernel", 3)),
-                pool=bool(b.get("pool", True)),
-            )
-        )
-    attn = d.get("attention")
-    attention = None
-    if attn is not None:
-        reject_unknown_keys(attn, {"channels", "reduction"}, "attention config")
-        if "channels" not in attn:
-            raise ConfigError("attention config: missing channels")
-        attention = AttentionConfig(
-            channels=int(attn["channels"]), reduction=int(attn.get("reduction", 4))
-        )
-    return ModelConfig(
-        input_size=tuple(d["input_size"]),
-        backbone=tuple(blocks),
-        num_classes=int(d["num_classes"]),
-        head=tuple(d.get("head", (128,))),
-        attention=attention,
-        dropout_rate=float(d.get("dropout_rate", 0.4)),
-    )
+def config_from_dict(d) -> ModelConfig:
+    """Decode a model config; an int backbone block is short for {"out_channels": n}."""
+    if isinstance(d, dict) and isinstance(d.get("backbone"), list):
+        d = dict(d, backbone=[{"out_channels": b} if type(b) is int else b for b in d["backbone"]])
+    return decode_config(ModelConfig, d, "model config")

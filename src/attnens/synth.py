@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Sample, image_from_uint8
-from .errors import ConfigError, reject_unknown_keys
+from .errors import ConfigError, decode_config, encode_config
 from .ppm import write_ppm
 from .seeding import rng_for
 
@@ -186,30 +186,8 @@ def write_synth_dataset(spec: SynthSpec, out_dir) -> int:
 
 
 def synth_spec_to_dict(spec: SynthSpec) -> dict:
-    return {
-        "num_classes": spec.num_classes,
-        "per_class": spec.per_class,
-        "image_size": spec.image_size,
-        "seed": spec.seed,
-        "train_fraction": spec.train_fraction,
-        "class_offset": spec.class_offset,
-    }
+    return encode_config(spec)
 
 
-def synth_spec_from_dict(d: dict) -> SynthSpec:
-    reject_unknown_keys(
-        d,
-        {"num_classes", "per_class", "image_size", "seed", "train_fraction", "class_offset"},
-        "synth spec",
-    )
-    for key in ("num_classes", "per_class"):
-        if key not in d:
-            raise ConfigError(f"synth spec: missing required key {key!r}")
-    return SynthSpec(
-        num_classes=int(d["num_classes"]),
-        per_class=int(d["per_class"]),
-        image_size=int(d.get("image_size", 48)),
-        seed=int(d.get("seed", 0)),
-        train_fraction=float(d.get("train_fraction", 0.75)),
-        class_offset=int(d.get("class_offset", 0)),
-    )
+def synth_spec_from_dict(d) -> SynthSpec:
+    return decode_config(SynthSpec, d, "synth spec")

@@ -18,14 +18,8 @@ import numpy as np
 
 from .data import Dataset
 from .ensemble import PredictionMatrix
-from .errors import ConfigError, NumericError, ShapeError, reject_unknown_keys
-from .imageops import (
-    AugmentConfig,
-    augment,
-    augment_config_from_dict,
-    augment_config_to_dict,
-    resize_bilinear,
-)
+from .errors import ConfigError, NumericError, ShapeError, decode_config, encode_config
+from .imageops import AugmentConfig, augment, resize_bilinear
 from .layers import ForwardMode, LayerParams
 from .model import Model, backward, forward_cached
 from .seeding import derive_seed
@@ -145,20 +139,25 @@ def _check_class_space(model: Model, dataset: Dataset, role: str) -> None:
         )
 
 
-def _params_as_dict(model: Model) -> dict[str, np.ndarray]:
-    out = {}
+def _live_arrays(model: Model) -> dict[str, np.ndarray]:
+    """'<layer>.weight'/'<layer>.bias' -> array for every layer not frozen."""
+    arrays = {}
     for p in model.params:
-        out[f"{p.name}.weight"] = p.weights
-        out[f"{p.name}.bias"] = p.bias
-    return out
+        if p.name not in model.frozen:
+            arrays[f"{p.name}.weight"], arrays[f"{p.name}.bias"] = p.weights, p.bias
+    return arrays
 
 
-def _model_from_dict(model: Model, blobs: dict[str, np.ndarray]) -> Model:
+def _sgd_update(model: Model, grads, velocity, cfg: TrainConfig) -> tuple[Model, dict]:
+    """Apply one momentum step to the non-frozen layers; returns (model, velocity)."""
+    live = _live_arrays(model)
+    stepped, velocity = sgd_momentum_step(live, {k: grads[k] for k in live}, velocity, cfg)
     params = tuple(
-        LayerParams(p.name, blobs[f"{p.name}.weight"], blobs[f"{p.name}.bias"])
+        p if p.name in model.frozen
+        else LayerParams(p.name, stepped[f"{p.name}.weight"], stepped[f"{p.name}.bias"])
         for p in model.params
     )
-    return model.with_params(params)
+    return model.with_params(params), velocity
 
 
 def train(
@@ -189,11 +188,7 @@ def train(
     k = model.config.num_classes
     onehot = np.eye(k, dtype=np.float32)
 
-    blobs = _params_as_dict(model)
-    live_keys = [
-        key for key in blobs if key.split(".")[0] not in model.frozen
-    ]
-    velocity = {key: np.zeros_like(blobs[key]) for key in live_keys}
+    velocity = {key: np.zeros_like(arr) for key, arr in _live_arrays(model).items()}
 
     history = []
     current = model
@@ -220,13 +215,9 @@ def train(
                 probs, tape = forward_cached(current, batch, mode)
                 loss = cross_entropy(targets, probs, cfg.loss_clamp_eps)
                 grads = backward(current, tape, softmax_cross_entropy_grad(targets, probs))
-                live_params = {key: blobs[key] for key in live_keys}
-                live_grads = {key: grads[key] for key in live_keys}
-                stepped, velocity = sgd_momentum_step(live_params, live_grads, velocity, cfg)
+                current, velocity = _sgd_update(current, grads, velocity, cfg)
             except NumericError as e:
                 raise NumericError(f"epoch {epoch} batch {batch_no}: {e}") from e
-            blobs = dict(blobs, **stepped)
-            current = _model_from_dict(current, blobs)
             loss_sum += loss * len(idx)
             hits += int((probs.argmax(axis=1) == labels[idx]).sum())
         test_acc, _ = evaluate(current, test_set)
@@ -290,37 +281,8 @@ def history_summary(history: list[EpochStats]) -> dict:
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate,
-        "momentum": cfg.momentum,
-        "shuffle_seed": cfg.shuffle_seed,
-        "loss_clamp_eps": cfg.loss_clamp_eps,
-        "augment": augment_config_to_dict(cfg.augment),
-    }
+    return encode_config(cfg)
 
 
-def train_config_from_dict(d: dict) -> TrainConfig:
-    reject_unknown_keys(
-        d,
-        {
-            "batch_size",
-            "epochs",
-            "learning_rate",
-            "momentum",
-            "shuffle_seed",
-            "loss_clamp_eps",
-            "augment",
-        },
-        "train config",
-    )
-    return TrainConfig(
-        batch_size=int(d.get("batch_size", 16)),
-        epochs=int(d.get("epochs", 20)),
-        learning_rate=float(d.get("learning_rate", 1e-4)),
-        momentum=float(d.get("momentum", 0.9)),
-        shuffle_seed=int(d.get("shuffle_seed", 0)),
-        loss_clamp_eps=float(d.get("loss_clamp_eps", 1e-7)),
-        augment=augment_config_from_dict(d.get("augment", {})),
-    )
+def train_config_from_dict(d) -> TrainConfig:
+    return decode_config(TrainConfig, d, "train config")

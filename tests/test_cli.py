@@ -157,6 +157,33 @@ class TestTrainingRuns:
                           "model": MODEL, "train": TRAIN, "optimizer": "adam"})
         assert main(["pretrain", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command,override,key", [
+        ("pretrain", {"train": dict(TRAIN, batch_size="abc")}, "batch_size"),
+        ("pretrain", {"train": dict(TRAIN, batch_size=None)}, "batch_size"),
+        ("pretrain", {"train": dict(TRAIN, augment=[])}, "augment"),
+        ("pretrain", {"model": dict(MODEL, backbone=5)}, "backbone"),
+        ("pretrain", {"model": dict(MODEL, input_size="abc")}, "input_size"),
+        ("pretrain", {"seed": "x"}, "seed"),
+        ("pretrain", {"data_dir": 5}, "data_dir"),
+        ("pretrain", {"out_dir": ["o"]}, "out_dir"),
+        ("synth", {"num_classes": "x"}, "num_classes"),
+    ])
+    def test_wrong_typed_value_exits_2(self, pipeline, capsys, command, override, key):
+        root = pipeline["root"]
+        out_dir = str(root / "wrong_type_out")
+        if command == "synth":
+            payload = {"num_classes": 2, "per_class": 4, **override}
+            argv = ["synth", "--spec", write_json(root / "wrong_type.json", payload),
+                    "--out", out_dir]
+        else:
+            payload = {"seed": 1, "data_dir": pipeline["source_data"], "out_dir": out_dir,
+                       "model": MODEL, "train": TRAIN, **override}
+            argv = ["pretrain", "--config", write_json(root / "wrong_type.json", payload)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not os.path.exists(out_dir)
+
     def test_malformed_json_exits_2(self, pipeline):
         path = pipeline["root"] / "broken.json"
         path.write_text("{not json")

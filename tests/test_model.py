@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import attnens.model as model_module
 from attnens.errors import ConfigError, ShapeError, TransferError
 from attnens.layers import ForwardMode
 from attnens.model import (
@@ -180,6 +181,25 @@ class TestForward:
         model = build_model(tiny_config(), seed=0)
         with pytest.raises(ShapeError):
             forward(model, np.zeros((2, 3, 8, 8), dtype=np.float32))
+
+    def test_layer_functions_resolve_at_call_time(self, monkeypatch):
+        # Wrappers installed on attnens.model's attributes must see every call.
+        calls = {}
+        for fn in ("conv2d_backward", "ca_forward"):
+            original = getattr(model_module, fn)
+
+            def counting(*args, _fn=fn, _original=original, **kwargs):
+                calls[_fn] = calls.get(_fn, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(model_module, fn, counting)
+        model = build_model(tiny_config(num_classes=4), seed=0)
+        x = np.random.default_rng(4).random((2, 3, 16, 16)).astype(np.float32)
+        probs, tape = forward_cached(model, x, ForwardMode.eval())
+        assert calls == {"ca_forward": 1}
+        onehot = np.eye(4, dtype=np.float32)[[0, 2]]
+        backward(model, tape, softmax_cross_entropy_grad(onehot, probs))
+        assert calls == {"ca_forward": 1, "conv2d_backward": 2}
 
     def test_backward_emits_grad_per_live_param(self):
         model = build_model(tiny_config(num_classes=4), seed=0)
