@@ -19,6 +19,8 @@ trip is byte-exact because parameters are stored in their native float32.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -93,6 +95,13 @@ def save_model(model: Model, path, history_summary: dict | None = None) -> None:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
+    # A corrupt length or dims field can name gigabytes; refuse it before
+    # ``read`` allocates a buffer of that size.
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise CheckpointError(
+            f"truncated checkpoint: {what} needs {n} bytes, only {left} left"
+        )
     data = f.read(n)
     if len(data) != n:
         raise CheckpointError(f"truncated checkpoint: expected {n} bytes for {what}")
@@ -118,7 +127,11 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             header = json.loads(_read_exact(f, header_len, "header"))
         except ValueError as e:
-            raise CheckpointError(f"corrupt header JSON: {e}") from None
+            raise CheckpointError(f"corrupt header JSON: {e}") from e
+        if not isinstance(header, dict):
+            raise CheckpointError(
+                f"header must be a JSON object, got {type(header).__name__}"
+            )
         for key in ("config", "frozen", "history"):
             if key not in header:
                 raise CheckpointError(f"header missing {key!r}")
@@ -129,15 +142,17 @@ def load_checkpoint(path) -> Checkpoint:
         order = []
         for i in range(count):
             name_len = _read_u32(f, f"record {i} name length")
-            name = _read_exact(f, name_len, f"record {i} name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, f"record {i} name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"record {i} name is not UTF-8: {e}") from e
             rank = _read_u32(f, f"record {name!r} rank")
             if rank == 0 or rank > 8:
                 raise CheckpointError(f"record {name!r}: implausible rank {rank}")
             dims = struct.unpack(
                 f"<{rank}I", _read_exact(f, 4 * rank, f"record {name!r} dims")
             )
-            n_elems = int(np.prod(dims))
-            raw = _read_exact(f, 4 * n_elems, f"record {name!r} data")
+            raw = _read_exact(f, 4 * math.prod(dims), f"record {name!r} data")
             if name in blobs:
                 raise CheckpointError(f"duplicate record {name!r}")
             blobs[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
@@ -162,7 +177,10 @@ def load_checkpoint(path) -> Checkpoint:
     if blobs:
         raise CheckpointError(f"unexpected extra records {sorted(blobs)}")
 
-    frozen = frozenset(header["frozen"])
+    names = header["frozen"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise CheckpointError("header 'frozen' must be a list of layer names")
+    frozen = frozenset(names)
     known = {p.name for p in params}
     if not frozen <= known:
         raise CheckpointError(f"frozen set names unknown layers {sorted(frozen - known)}")

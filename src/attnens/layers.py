@@ -200,13 +200,19 @@ def dense_backward(cache, grad_y: np.ndarray):
 
 
 def relu_forward(x: np.ndarray):
-    return np.maximum(x, 0), x
+    """Elementwise max(x, 0); the cache is the output itself."""
+    y = np.maximum(x, 0)
+    return y, y
 
 
 def relu_backward(cache, grad_y: np.ndarray):
-    # Subgradient at exactly zero is taken as zero.
-    x = cache
-    return grad_y * (x > 0)
+    """Pass the gradient where the input was positive.
+
+    ``y > 0`` holds exactly where ``x > 0`` does, for ``-0.0`` and NaN too,
+    so caching the output loses nothing.  The subgradient at zero is zero.
+    """
+    y = cache
+    return grad_y * (y > 0)
 
 
 def sigmoid_forward(x: np.ndarray):
@@ -271,30 +277,45 @@ def dropout_backward(mask: np.ndarray, grad_y: np.ndarray):
 
 
 def maxpool2d_forward(x: np.ndarray):
-    """2x2 max pooling with stride 2 over [N,C,H,W]; H and W must be even."""
+    """2x2 max pooling with stride 2 over [N,C,H,W]; H and W must be even.
+
+    The output is the elementwise maximum of the four strided views
+    ``x[:, :, i::2, j::2]``, written C-contiguous in NCHW order whatever the
+    layout of ``x`` (a channel-major view from conv2d_forward included), so
+    later reductions see the same memory order.  The cache is ``(x, y)``:
+    references to the input and the output, no copies.
+    """
     if x.ndim != 4:
         raise ShapeError(f"maxpool input must be rank 4, got shape {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h < 2 or w < 2 or h % 2 or w % 2:
         raise ShapeError(f"maxpool needs even spatial dims >= 2, got {h}x{w}")
-    ho, wo = h // 2, w // 2
-    windows = x.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, c, ho, wo, 4
+    y = np.maximum(
+        np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
+        np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
+        order="C",
     )
-    idx = windows.argmax(axis=-1)
-    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    return y, (x.shape, idx)
+    return y, (x, y)
 
 
 def maxpool2d_backward(cache, grad_y: np.ndarray):
-    (n, c, h, w), idx = cache
-    ho, wo = h // 2, w // 2
-    if grad_y.shape != (n, c, ho, wo):
-        raise ShapeError(f"grad shape {grad_y.shape} != ({n}, {c}, {ho}, {wo})")
-    scattered = np.zeros((n, c, ho, wo, 4), dtype=grad_y.dtype)
-    np.put_along_axis(scattered, idx[..., None], grad_y[..., None], axis=-1)
-    return (
-        scattered.reshape(n, c, ho, wo, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h, w)
-    )
+    """Route each window's gradient to the first input equal to its maximum.
+
+    Offsets are tested in row-major order (0,0), (0,1), (1,0), (1,1), so a
+    tie goes to the first element.  Every other input gets ``+0.0``.  A window
+    containing NaN has a NaN maximum that equals no input, so it routes no
+    gradient; softmax_forward raises NumericError before training could
+    backpropagate through one.
+    """
+    x, y = cache
+    if grad_y.shape != y.shape:
+        raise ShapeError(f"grad shape {grad_y.shape} != {y.shape}")
+    grad_x = np.empty(x.shape, dtype=grad_y.dtype)
+    zero = grad_y.dtype.type(0)
+    free = np.ones(y.shape, dtype=bool)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = x[:, :, i::2, j::2] == y
+        hit &= free
+        free ^= hit  # hit lies inside free, so this clears the windows it took
+        grad_x[:, :, i::2, j::2] = np.where(hit, grad_y, zero)
+    return grad_x

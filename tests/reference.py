@@ -63,6 +63,23 @@ def maxpool_naive(x):
     return y
 
 
+def maxpool_backward_naive(x, grad_y):
+    """Send each window's gradient to its first maximal element, row-major."""
+    n, c, h, w = x.shape
+    grad_x = np.zeros(x.shape, dtype=grad_y.dtype)
+    for img in range(n):
+        for ch in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    best_i, best_j = 2 * i, 2 * j
+                    for di in range(2):
+                        for dj in range(2):
+                            if x[img, ch, 2 * i + di, 2 * j + dj] > x[img, ch, best_i, best_j]:
+                                best_i, best_j = 2 * i + di, 2 * j + dj
+                    grad_x[img, ch, best_i, best_j] = grad_y[img, ch, i, j]
+    return grad_x
+
+
 def gap_naive(x):
     n, c, h, w = x.shape
     y = np.zeros((n, c), dtype=x.dtype)

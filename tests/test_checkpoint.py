@@ -1,5 +1,7 @@
 """Binary checkpoint format: round trips and corruption detection."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ def model():
 def save_bytes(model, path, history=None):
     save_model(model, str(path), history_summary=history or {"epochs": 2})
     return path.read_bytes()
+
+
+def with_header(raw, header):
+    """Replace the JSON header of checkpoint bytes ``raw``, fixing its length."""
+    old_len = struct.unpack_from("<I", raw, 8)[0]
+    return raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + old_len :]
+
+
+def first_record_offset(raw):
+    """Offset of the first record's name length field."""
+    return 12 + struct.unpack_from("<I", raw, 8)[0] + 4
 
 
 class TestRoundTrip:
@@ -112,3 +125,43 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(str(tmp_path / "absent.aens"))
+
+    def test_header_length_beyond_file(self, model, tmp_path):
+        p = tmp_path / "m.aens"
+        raw = save_bytes(model, p)
+        p.write_bytes(raw[:8] + struct.pack("<I", 0xFFFFFFFF) + raw[12:])
+        with pytest.raises(CheckpointError, match="only"):
+            load_checkpoint(str(p))
+
+    def test_header_json_not_an_object(self, model, tmp_path):
+        p = tmp_path / "m.aens"
+        p.write_bytes(with_header(save_bytes(model, p), b"5"))
+        with pytest.raises(CheckpointError, match="JSON object"):
+            load_checkpoint(str(p))
+
+    def test_frozen_not_a_list_of_names(self, model, tmp_path):
+        p = tmp_path / "m.aens"
+        raw = save_bytes(model, p)
+        header = raw[12 : 12 + struct.unpack_from("<I", raw, 8)[0]]
+        p.write_bytes(with_header(raw, header.replace(b'"frozen":[]', b'"frozen":5')))
+        with pytest.raises(CheckpointError, match="frozen"):
+            load_checkpoint(str(p))
+
+    def test_record_name_not_utf8(self, model, tmp_path):
+        p = tmp_path / "m.aens"
+        raw = save_bytes(model, p)
+        at = first_record_offset(raw) + 4
+        p.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+        with pytest.raises(CheckpointError, match="UTF-8") as info:
+            load_checkpoint(str(p))
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    def test_dims_beyond_file_refused_before_reading(self, model, tmp_path):
+        p = tmp_path / "m.aens"
+        raw = save_bytes(model, p)
+        at = first_record_offset(raw)
+        name_len = struct.unpack_from("<I", raw, at)[0]
+        dims_at = at + 4 + name_len + 4
+        p.write_bytes(raw[:dims_at] + struct.pack("<I", 0xFFFFFFFF) + raw[dims_at + 4 :])
+        with pytest.raises(CheckpointError, match="only"):
+            load_checkpoint(str(p))

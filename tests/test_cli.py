@@ -235,6 +235,18 @@ class TestPredict:
         assert "bounding box" in capsys.readouterr().err
 
 
+    def test_corrupt_checkpoint_exits_2(self, pipeline, capsys):
+        raw = open(pipeline["runs"]["frozen"], "rb").read()
+        header_len = int.from_bytes(raw[8:12], "little")
+        bad = str(pipeline["root"] / "bad.aens")
+        with open(bad, "wb") as f:
+            f.write(raw[:8] + (1).to_bytes(4, "little") + b"5" + raw[12 + header_len :])
+        code = main(["predict", "--model", bad, "--data", pipeline["target_data"],
+                     "--split", "test", "--out", str(pipeline["root"] / "bad.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestEnsemble:
     def test_single_member_report_matches_member(self, pipeline):
         report_path = str(pipeline["root"] / "solo.json")

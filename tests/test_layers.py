@@ -20,11 +20,19 @@ from attnens.layers import (
     gap_forward,
     maxpool2d_backward,
     maxpool2d_forward,
+    relu_backward,
     relu_forward,
     sigmoid_forward,
     softmax_forward,
 )
-from reference import conv2d_naive, dense_naive, gap_naive, maxpool_naive, softmax_naive
+from reference import (
+    conv2d_naive,
+    dense_naive,
+    gap_naive,
+    maxpool_backward_naive,
+    maxpool_naive,
+    softmax_naive,
+)
 
 
 def conv_params(w, b):
@@ -119,6 +127,15 @@ class TestActivations:
         y, _ = relu_forward(x)
         np.testing.assert_array_equal(y, [0.0, 0.0, 0.0, 3.5])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_matches_input_mask_bitwise(self, dtype):
+        x = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, -1.5, 2.5, 1e-38], dtype=dtype)
+        g = np.array([-1.0, 2.0, -3.0, 4.0, -5.0, 6.0, -7.0, 8.0, -9.0], dtype=dtype)
+        _, cache = relu_forward(x)
+        gx = relu_backward(cache, g)
+        assert gx.dtype == dtype
+        assert gx.tobytes() == (g * (x > 0)).tobytes()
+
     def test_sigmoid_range_and_symmetry(self):
         x = np.linspace(-10, 10, 41)
         y, _ = sigmoid_forward(x)
@@ -170,6 +187,55 @@ class TestPooling:
         y, cache = maxpool2d_forward(x)
         gx = maxpool2d_backward(cache, np.full((1, 1, 1, 1), 5.0))
         np.testing.assert_array_equal(gx[0, 0], [[5.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_backward_matches_naive_for_every_tie_pattern(self, dtype):
+        # channel k holds one 2x2 window whose maximum sits at the offsets
+        # named by the bits of k + 1: all 15 non-empty tie patterns
+        below = np.array([-2.0, 0.25, 1.0, -0.5])
+        x = np.empty((2, 15, 2, 2), dtype=dtype)
+        for k in range(15):
+            for pos in range(4):
+                x[:, k].flat[pos] = 1.5 if (k + 1) >> pos & 1 else below[pos]
+        x[1] -= 3.0
+        g = np.random.default_rng(11).uniform(-2.0, 2.0, size=(2, 15, 1, 1)).astype(dtype)
+        _, cache = maxpool2d_forward(x)
+        gx = maxpool2d_backward(cache, g)
+        expected = maxpool_backward_naive(x, g)
+        assert gx.dtype == dtype
+        assert gx.tobytes() == expected.tobytes()
+
+    def test_maxpool_forward_of_channel_major_view_is_c_contiguous(self):
+        # conv2d_forward returns a channel-major transposed view; the pooled
+        # output must still be plain NCHW so later reductions keep their order
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+        conv_out, _ = conv2d_forward(
+            rng.standard_normal((4, 3, 6, 8)).astype(np.float32),
+            conv_params(w, np.zeros(5, np.float32)),
+        )
+        x, _ = relu_forward(conv_out)
+        assert not x.flags.c_contiguous
+        y, _ = maxpool2d_forward(x)
+        assert y.flags.c_contiguous
+        assert y.dtype == np.float32
+        np.testing.assert_array_equal(y, maxpool_naive(x))
+
+    def test_maxpool_backward_zeros_are_positive(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 3, 4, 6))
+        _, cache = maxpool2d_forward(x)
+        gx = maxpool2d_backward(cache, -rng.uniform(0.5, 1.0, size=(2, 3, 2, 3)))
+        zeros = gx[gx == 0]
+        assert zeros.size == 3 * gx.size // 4
+        assert not np.signbit(zeros).any()
+
+    def test_maxpool_backward_nan_window_routes_nothing(self):
+        x = np.array([[[[1.0, np.nan, 2.0, 3.0], [0.5, 0.0, 4.0, -1.0]]]])
+        y, cache = maxpool2d_forward(x)
+        assert np.isnan(y[0, 0, 0, 0]) and y[0, 0, 0, 1] == 4.0
+        gx = maxpool2d_backward(cache, np.array([[[[7.0, 9.0]]]]))
+        np.testing.assert_array_equal(gx[0, 0], [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 9.0, 0.0]])
 
     def test_maxpool_backward_routes_to_argmax(self):
         x = np.array([[[[1.0, 2.0], [4.0, 3.0]]]])
