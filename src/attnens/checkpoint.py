@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, UnsupportedVersionError
+from .errors import CheckpointError, ConfigError, UnsupportedVersionError
 from .layers import LayerParams
 from .model import Model, ModelConfig, _layer_plan, config_from_dict, config_to_dict
 
@@ -135,7 +135,10 @@ def load_checkpoint(path) -> Checkpoint:
         for key in ("config", "frozen", "history"):
             if key not in header:
                 raise CheckpointError(f"header missing {key!r}")
-        config = config_from_dict(header["config"])
+        try:
+            config = config_from_dict(header["config"])
+        except ConfigError as e:
+            raise CheckpointError(f"header config is invalid: {e}") from e
 
         count = _read_u32(f, "record count")
         blobs: dict[str, np.ndarray] = {}

@@ -170,6 +170,9 @@ def read_label_table(csv_path) -> tuple[dict[str, int], tuple[str, ...]]:
                 f"{csv_path}: header must include columns {sorted(required)}"
             )
         rows = list(reader)
+    for i, row in enumerate(rows, start=2):
+        if row["class_name"] is None:
+            raise ManifestError(f"{csv_path} row {i}: missing class_name")
     names = tuple(sorted({row["class_name"] for row in rows}))
     index_of = {name: i for i, name in enumerate(names)}
     table: dict[str, int] = {}

@@ -14,6 +14,7 @@ analytic gradient so the failure path stays testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,103 +106,73 @@ class AuditRow:
         return self.max_rel_err < self.tolerance
 
 
-def _projection(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.normal(size=shape)
+def _check_pair(rng: np.random.Generator, forward, backward, *inputs) -> float:
+    """Worst error over ``inputs`` of one forward/backward pair.
+
+    ``forward(*inputs)`` returns (y, cache).  The scalar checked is y . r for
+    a normal projection r drawn after the forward pass; ``backward(cache, r)``
+    returns one gradient per input, bare when there is a single input.
+    """
+    out, cache = forward(*inputs)
+    r = rng.normal(size=out.shape)
+    grads = backward(cache, r)
+    if len(inputs) == 1:
+        grads = (grads,)
+
+    def loss(i, v):
+        return float((forward(*inputs[:i], v, *inputs[i + 1 :])[0] * r).sum())
+
+    return max(grad_check(partial(loss, i), x, g) for i, (x, g) in enumerate(zip(inputs, grads)))
 
 
 def _check_conv2d(rng: np.random.Generator) -> float:
     x = rng.normal(size=(2, 2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3)) * 0.5
     b = rng.normal(size=3) * 0.1
-    p = LayerParams("conv", w, b)
-    out, _ = layers.conv2d_forward(x, p, stride=1, padding="same")
-    r = _projection(rng, out.shape)
 
-    def loss_x(xv):
-        y, _ = layers.conv2d_forward(xv, p, 1, "same")
-        return float((y * r).sum())
+    def forward(xv, wv, bv):
+        return layers.conv2d_forward(xv, LayerParams("conv", wv, bv), 1, "same")
 
-    def loss_w(wv):
-        y, _ = layers.conv2d_forward(x, LayerParams("conv", wv, b), 1, "same")
-        return float((y * r).sum())
-
-    def loss_b(bv):
-        y, _ = layers.conv2d_forward(x, LayerParams("conv", w, bv), 1, "same")
-        return float((y * r).sum())
-
-    _, cache = layers.conv2d_forward(x, p, 1, "same")
-    gx, gw, gb = layers.conv2d_backward(cache, r)
-    return max(
-        grad_check(loss_x, x, gx),
-        grad_check(loss_w, w, gw),
-        grad_check(loss_b, b, gb),
-    )
+    return _check_pair(rng, forward, layers.conv2d_backward, x, w, b)
 
 
 def _check_dense(rng: np.random.Generator) -> float:
     x = rng.normal(size=(4, 6))
     w = rng.normal(size=(6, 3)) * 0.5
     b = rng.normal(size=3) * 0.1
-    p = LayerParams("fc", w, b)
-    out, cache = layers.dense_forward(x, p)
-    r = _projection(rng, out.shape)
-    gx, gw, gb = layers.dense_backward(cache, r)
-    return max(
-        grad_check(lambda xv: float((layers.dense_forward(xv, p)[0] * r).sum()), x, gx),
-        grad_check(
-            lambda wv: float((layers.dense_forward(x, LayerParams("fc", wv, b))[0] * r).sum()),
-            w,
-            gw,
-        ),
-        grad_check(
-            lambda bv: float((layers.dense_forward(x, LayerParams("fc", w, bv))[0] * r).sum()),
-            b,
-            gb,
-        ),
-    )
+
+    def forward(xv, wv, bv):
+        return layers.dense_forward(xv, LayerParams("fc", wv, bv))
+
+    return _check_pair(rng, forward, layers.dense_backward, x, w, b)
 
 
 def _check_relu(rng: np.random.Generator) -> float:
     x = _away_from_zero(rng.uniform(-1.0, 1.0, size=(3, 7)))
-    out, cache = layers.relu_forward(x)
-    r = _projection(rng, out.shape)
-    analytic = layers.relu_backward(cache, r)
-    return grad_check(lambda xv: float((layers.relu_forward(xv)[0] * r).sum()), x, analytic)
+    return _check_pair(rng, layers.relu_forward, layers.relu_backward, x)
 
 
 def _check_sigmoid(rng: np.random.Generator) -> float:
     x = rng.uniform(-3.0, 3.0, size=(3, 7))
-    out, cache = layers.sigmoid_forward(x)
-    r = _projection(rng, out.shape)
-    analytic = layers.sigmoid_backward(cache, r)
-    return grad_check(lambda xv: float((layers.sigmoid_forward(xv)[0] * r).sum()), x, analytic)
+    return _check_pair(rng, layers.sigmoid_forward, layers.sigmoid_backward, x)
 
 
 def _check_gap(rng: np.random.Generator) -> float:
     x = rng.normal(size=(2, 3, 4, 5))
-    out, cache = layers.gap_forward(x)
-    r = _projection(rng, out.shape)
-    analytic = layers.gap_backward(cache, r)
-    return grad_check(lambda xv: float((layers.gap_forward(xv)[0] * r).sum()), x, analytic)
+    return _check_pair(rng, layers.gap_forward, layers.gap_backward, x)
 
 
 def _check_dropout(rng: np.random.Generator) -> float:
     x = rng.normal(size=(3, 8))
     mode = ForwardMode.train(dropout_seed=1234)
-    out, mask = layers.dropout_forward(x, 0.4, mode)
-    r = _projection(rng, out.shape)
-    analytic = layers.dropout_backward(mask, r)
-    return grad_check(
-        lambda xv: float((layers.dropout_forward(xv, 0.4, mode)[0] * r).sum()), x, analytic
+    return _check_pair(
+        rng, lambda xv: layers.dropout_forward(xv, 0.4, mode), layers.dropout_backward, x
     )
 
 
 def _check_maxpool(rng: np.random.Generator) -> float:
     x = _separated_windows(rng, (2, 2, 4, 4))
-    out, cache = layers.maxpool2d_forward(x)
-    r = _projection(rng, out.shape)
-    analytic = layers.maxpool2d_backward(cache, r)
-    return grad_check(lambda xv: float((layers.maxpool2d_forward(xv)[0] * r).sum()), x, analytic)
+    return _check_pair(rng, layers.maxpool2d_forward, layers.maxpool2d_backward, x)
 
 
 def _check_channel_attention(rng: np.random.Generator) -> float:
@@ -212,28 +183,19 @@ def _check_channel_attention(rng: np.random.Generator) -> float:
     ew = rng.normal(size=(4, cfg.reduced, 1, 1)) * 0.7
     eb = rng.normal(size=4) * 0.1
 
-    def params(rwv=None, rbv=None, ewv=None, ebv=None):
-        return AttentionParams(
-            reduce=LayerParams("attn_reduce", rw if rwv is None else rwv, rb if rbv is None else rbv),
-            expand=LayerParams("attn_expand", ew if ewv is None else ewv, eb if ebv is None else ebv),
+    def forward(xv, rwv, rbv, ewv, ebv):
+        p = AttentionParams(
+            reduce=LayerParams("attn_reduce", rwv, rbv),
+            expand=LayerParams("attn_expand", ewv, ebv),
         )
+        y, _, cache = ca_forward(xv, p)
+        return y, cache
 
-    out, _, cache = ca_forward(x, params())
-    r = _projection(rng, out.shape)
-    gx, grads = ca_backward(cache, r)
-    (grw, grb), (gew, geb) = grads["reduce"], grads["expand"]
+    def backward(cache, r):
+        gx, grads = ca_backward(cache, r)
+        return (gx, *grads["reduce"], *grads["expand"])
 
-    def loss(xv=None, **kw):
-        y, _, _ = ca_forward(x if xv is None else xv, params(**kw))
-        return float((y * r).sum())
-
-    return max(
-        grad_check(lambda v: loss(xv=v), x, gx),
-        grad_check(lambda v: loss(rwv=v), rw, grw),
-        grad_check(lambda v: loss(rbv=v), rb, grb),
-        grad_check(lambda v: loss(ewv=v), ew, gew),
-        grad_check(lambda v: loss(ebv=v), eb, geb),
-    )
+    return _check_pair(rng, forward, backward, x, rw, rb, ew, eb)
 
 
 def _check_softmax_cross_entropy(rng: np.random.Generator) -> float:

@@ -5,6 +5,12 @@ an optional channel-gating block on the final feature map, global average
 pooling, and a fully connected head (hidden layers with ReLU + dropout,
 then a logits layer feeding softmax).
 
+``_steps(config)`` spells that order out once, as (kind, parameter layers)
+steps.  The parameter plan is its flattened layers; ``forward_cached`` runs
+each step through the ``_KINDS`` table and records a (kind, layer names,
+cache) tape entry; ``backward`` walks the tape in reverse through the same
+table.
+
 Initialization is a pure function of (config, seed): layers feeding a ReLU
 draw He-uniform weights, layers feeding sigmoid or softmax draw
 Xavier-uniform weights, and all biases start at zero.  Parameters live in
@@ -15,6 +21,7 @@ parameter precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,97 +180,58 @@ class Model:
         return replace(self, params=params)
 
 
-@dataclass(frozen=True)
-class _PlannedLayer:
+class _PlannedLayer(NamedTuple):
     name: str
-    kind: str  # conv | attn_reduce | attn_expand | dense | logits
-    weight_shape: tuple[int, ...]
+    weight_shape: tuple[int, ...]  # conv (out, in, kh, kw) or dense (in, out)
     init: str  # he | xavier
-    fan_in: int
-    fan_out: int
     backbone: bool
 
 
-def _layer_plan(config: ModelConfig) -> list[_PlannedLayer]:
-    plan = []
+def _steps(config: ModelConfig):
+    """The network in forward order, as (kind, parameter layers) steps."""
     channels = config.input_size[2]
     for i, block in enumerate(config.backbone):
         k = block.kernel
-        plan.append(
-            _PlannedLayer(
-                name=f"conv{i + 1}",
-                kind="conv",
-                weight_shape=(block.out_channels, channels, k, k),
-                init="he",
-                fan_in=channels * k * k,
-                fan_out=block.out_channels * k * k,
-                backbone=True,
-            )
-        )
+        shape = (block.out_channels, channels, k, k)
+        yield "conv", (_PlannedLayer(f"conv{i + 1}", shape, "he", True),)
+        yield "relu", ()
+        if block.pool:
+            yield "maxpool", ()
         channels = block.out_channels
     if config.attention is not None:
         cr = config.attention.reduced
-        plan.append(
-            _PlannedLayer(
-                name="attn_reduce",
-                kind="attn_reduce",
-                weight_shape=(cr, channels, 1, 1),
-                init="he",
-                fan_in=channels,
-                fan_out=cr,
-                backbone=True,
-            )
+        yield "attention", (
+            _PlannedLayer("attn_reduce", (cr, channels, 1, 1), "he", True),
+            _PlannedLayer("attn_expand", (channels, cr, 1, 1), "xavier", True),
         )
-        plan.append(
-            _PlannedLayer(
-                name="attn_expand",
-                kind="attn_expand",
-                weight_shape=(channels, cr, 1, 1),
-                init="xavier",
-                fan_in=cr,
-                fan_out=channels,
-                backbone=True,
-            )
-        )
+    yield "gap", ()
     width = channels
     for i, hidden in enumerate(config.head):
-        plan.append(
-            _PlannedLayer(
-                name=f"fc{i + 1}",
-                kind="dense",
-                weight_shape=(width, hidden),
-                init="he",
-                fan_in=width,
-                fan_out=hidden,
-                backbone=False,
-            )
-        )
+        yield "dense", (_PlannedLayer(f"fc{i + 1}", (width, hidden), "he", False),)
+        yield "relu", ()
+        yield "dropout", ()
         width = hidden
-    plan.append(
-        _PlannedLayer(
-            name="logits",
-            kind="logits",
-            weight_shape=(width, config.num_classes),
-            init="xavier",
-            fan_in=width,
-            fan_out=config.num_classes,
-            backbone=False,
-        )
-    )
-    return plan
+    yield "dense", (_PlannedLayer("logits", (width, config.num_classes), "xavier", False),)
+
+
+def _layer_plan(config: ModelConfig) -> list[_PlannedLayer]:
+    return [layer for _, layers in _steps(config) for layer in layers]
 
 
 def _init_layer(planned: _PlannedLayer, rng: np.random.Generator) -> LayerParams:
-    if planned.init == "he":
-        limit = np.sqrt(6.0 / planned.fan_in)
+    shape = planned.weight_shape
+    if len(shape) == 4:
+        out, inp, kh, kw = shape
+        fan_in, fan_out, bias_len = inp * kh * kw, out * kh * kw, out
     else:
-        limit = np.sqrt(6.0 / (planned.fan_in + planned.fan_out))
-    weights = rng.uniform(-limit, limit, size=planned.weight_shape).astype(np.float32)
-    bias_len = planned.weight_shape[0] if planned.kind.startswith(("conv", "attn")) else (
-        planned.weight_shape[1]
-    )
-    bias = np.zeros(bias_len, dtype=np.float32)
-    return LayerParams(planned.name, weights, bias)
+        fan_in, fan_out = shape
+        bias_len = fan_out
+    if planned.init == "he":
+        limit = np.sqrt(6.0 / fan_in)
+    else:
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+    weights = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+    return LayerParams(planned.name, weights, np.zeros(bias_len, dtype=np.float32))
 
 
 def build_model(config: ModelConfig, seed: int) -> Model:
@@ -273,10 +241,51 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     return Model(config=config, params=params)
 
 
+def _weight_grads(result):
+    grad, gw, gb = result
+    return grad, ((gw, gb),)
+
+
+def _attention_forward(x, reduce, expand):
+    y, _, cache = ca_forward(x, AttentionParams(reduce=reduce, expand=expand))
+    return y, cache
+
+
+def _attention_backward(cache, grad):
+    grad, g = ca_backward(cache, grad)
+    return grad, (g["reduce"], g["expand"])
+
+
+# Step kind -> (forward, backward).  forward(x, *args) returns (y, cache);
+# backward(cache, grad) returns the input grad and one (weight, bias) grad
+# pair per parameter layer of the step.  The entries name the layer functions
+# inside their bodies, so they resolve through this module's attributes at
+# call time and a wrapper installed on ``attnens.model.<function>`` sees
+# every call.
+_KINDS = {
+    "conv": (
+        lambda x, p: conv2d_forward(x, p, stride=1, padding="same"),
+        lambda c, g: _weight_grads(conv2d_backward(c, g)),
+    ),
+    "relu": (lambda x: relu_forward(x), lambda c, g: (relu_backward(c, g), ())),
+    "maxpool": (lambda x: maxpool2d_forward(x), lambda c, g: (maxpool2d_backward(c, g), ())),
+    "attention": (_attention_forward, _attention_backward),
+    "gap": (lambda x: gap_forward(x), lambda c, g: (gap_backward(c, g), ())),
+    "dense": (lambda x, p: dense_forward(x, p), lambda c, g: _weight_grads(dense_backward(c, g))),
+    "dropout": (
+        lambda x, rate, mode: dropout_forward(x, rate, mode),
+        lambda c, g: (dropout_backward(c, g), ()),
+    ),
+}
+
+
 def forward_cached(model: Model, batch: np.ndarray, mode: ForwardMode):
     """Run the full network, returning (probs, tape) for backpropagation.
 
-    The tape is a list of (kind, name, cache) entries in forward order.
+    Each step of ``_steps`` appends one (kind, layer names, cache) entry to
+    the tape, in forward order; the names are those of the step's parameter
+    layers, empty for a step without parameters.  Softmax is applied to the
+    last step's output and leaves no entry.
     """
     h, w, c = model.config.input_size
     if batch.ndim != 4 or batch.shape[1:] != (c, h, w):
@@ -286,37 +295,21 @@ def forward_cached(model: Model, batch: np.ndarray, mode: ForwardMode):
     params = {p.name: p for p in model.params}
     tape = []
     x = batch
-    for i in range(len(model.config.backbone)):
-        p = params[f"conv{i + 1}"]
-        x, cache = conv2d_forward(x, p, stride=1, padding="same")
-        tape.append(("conv", p.name, cache))
-        x, cache = relu_forward(x)
-        tape.append(("relu", "", cache))
-        if model.config.backbone[i].pool:
-            x, cache = maxpool2d_forward(x)
-            tape.append(("maxpool", "", cache))
-    if model.config.attention is not None:
-        attention = AttentionParams(reduce=params["attn_reduce"], expand=params["attn_expand"])
-        x, _, cache = ca_forward(x, attention)
-        tape.append(("attention", "", cache))
-    x, cache = gap_forward(x)
-    tape.append(("gap", "", cache))
-    for i in range(len(model.config.head)):
-        p = params[f"fc{i + 1}"]
-        x, cache = dense_forward(x, p)
-        tape.append(("dense", p.name, cache))
-        x, cache = relu_forward(x)
-        tape.append(("relu", "", cache))
-        drop_mode = mode
-        if mode.is_train:
-            drop_mode = ForwardMode.train(derive_seed(mode.dropout_seed, i))
-        x, mask = dropout_forward(x, model.config.dropout_rate, drop_mode)
-        tape.append(("dropout", "", mask))
-    p = params["logits"]
-    logits, cache = dense_forward(x, p)
-    tape.append(("dense", p.name, cache))
-    probs = softmax_forward(logits)
-    return probs, tape
+    dropouts = 0
+    for kind, layers in _steps(model.config):
+        names = tuple([layer.name for layer in layers])
+        if kind == "dropout":
+            # The one step fed more than parameters: its rate and a seed of its own.
+            drop_mode = mode
+            if mode.is_train:
+                drop_mode = ForwardMode.train(derive_seed(mode.dropout_seed, dropouts))
+            dropouts += 1
+            args = (model.config.dropout_rate, drop_mode)
+        else:
+            args = [params[name] for name in names]
+        x, cache = _KINDS[kind][0](x, *args)
+        tape.append((kind, names, cache))
+    return softmax_forward(x), tape
 
 
 def forward(model: Model, batch: np.ndarray, mode: ForwardMode | None = None) -> np.ndarray:
@@ -325,43 +318,15 @@ def forward(model: Model, batch: np.ndarray, mode: ForwardMode | None = None) ->
     return probs
 
 
-def _weight_grads(name: str, result):
-    grad, gw, gb = result
-    return grad, {f"{name}.weight": gw, f"{name}.bias": gb}
-
-
-def _attention_backward(name: str, cache, grad):
-    grad, g = ca_backward(cache, grad)
-    return grad, {
-        "attn_reduce.weight": g["reduce"][0],
-        "attn_reduce.bias": g["reduce"][1],
-        "attn_expand.weight": g["expand"][0],
-        "attn_expand.bias": g["expand"][1],
-    }
-
-
-# Tape kind -> (name, cache, upstream grad) -> (input grad, parameter grads).
-# The entries name the layer functions inside their bodies, so they resolve
-# through this module's attributes at call time and a wrapper installed on
-# ``attnens.model.<function>`` sees every call.
-_BACKWARD = {
-    "conv": lambda name, cache, grad: _weight_grads(name, conv2d_backward(cache, grad)),
-    "dense": lambda name, cache, grad: _weight_grads(name, dense_backward(cache, grad)),
-    "relu": lambda name, cache, grad: (relu_backward(cache, grad), {}),
-    "maxpool": lambda name, cache, grad: (maxpool2d_backward(cache, grad), {}),
-    "dropout": lambda name, cache, grad: (dropout_backward(cache, grad), {}),
-    "gap": lambda name, cache, grad: (gap_backward(cache, grad), {}),
-    "attention": _attention_backward,
-}
-
-
 def backward(model: Model, tape, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Walk the tape in reverse, returning '<layer>.weight'/'<layer>.bias' grads."""
     grads: dict[str, np.ndarray] = {}
     grad = grad_logits
-    for kind, name, cache in reversed(tape):
-        grad, layer_grads = _BACKWARD[kind](name, cache, grad)
-        grads.update(layer_grads)
+    for kind, names, cache in reversed(tape):
+        grad, pairs = _KINDS[kind][1](cache, grad)
+        for name, (gw, gb) in zip(names, pairs):
+            grads[f"{name}.weight"] = gw
+            grads[f"{name}.bias"] = gb
     return grads
 
 

@@ -1,5 +1,6 @@
 """Binary checkpoint format: round trips and corruption detection."""
 
+import json
 import struct
 
 import numpy as np
@@ -12,7 +13,7 @@ from attnens.checkpoint import (
     load_model,
     save_model,
 )
-from attnens.errors import CheckpointError, UnsupportedVersionError
+from attnens.errors import CheckpointError, ConfigError, UnsupportedVersionError
 from attnens.model import (
     FREEZE_BACKBONE,
     build_model,
@@ -132,6 +133,16 @@ class TestCorruption:
         p.write_bytes(raw[:8] + struct.pack("<I", 0xFFFFFFFF) + raw[12:])
         with pytest.raises(CheckpointError, match="only"):
             load_checkpoint(str(p))
+
+    def test_invalid_config_in_header(self, model, tmp_path):
+        p = tmp_path / "m.aens"
+        raw = save_bytes(model, p)
+        header = json.loads(raw[12 : 12 + struct.unpack_from("<I", raw, 8)[0]])
+        header["config"] = {"bogus": 1}
+        p.write_bytes(with_header(raw, json.dumps(header).encode("utf-8")))
+        with pytest.raises(CheckpointError, match="config") as info:
+            load_checkpoint(str(p))
+        assert isinstance(info.value.__cause__, ConfigError)
 
     def test_header_json_not_an_object(self, model, tmp_path):
         p = tmp_path / "m.aens"

@@ -297,6 +297,15 @@ class TestEnsemble:
                      "--out", str(pipeline["root"] / "bad2.json")])
         assert code == 2
 
+    def test_short_label_row_exits_2(self, pipeline, capsys):
+        labels = pipeline["root"] / "short_labels.csv"
+        labels.write_text("id,class_name,split\na,cat,test\nb\n")
+        code = main(["ensemble", "--members", str(pipeline["preds"] / "frozen.csv"),
+                     "--labels", str(labels),
+                     "--out", str(pipeline["root"] / "short.json")])
+        assert code == 2
+        assert "row 3" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_clean_audit_exits_0(self, capsys):

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from attnens.data import Dataset, Sample, crop_bbox, image_from_uint8, load_dataset
+from attnens.data import (
+    Dataset,
+    Sample,
+    crop_bbox,
+    image_from_uint8,
+    load_dataset,
+    read_label_table,
+)
 from attnens.errors import ConfigError, IngestError, ManifestError, MissingBboxError
 from attnens.imageops import (
     AugmentConfig,
@@ -135,6 +142,12 @@ class TestManifest:
         self.write_dataset(tmp_path, ["a1,x,train,1,2,5,6"], with_bbox=True)
         ds = load_dataset(tmp_path)
         assert ds.samples[0].bbox == (1, 2, 5, 6)
+
+    def test_label_table_short_row_names_it(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("id,class_name,split\na,cat,test\nb\n")
+        with pytest.raises(ManifestError, match="row 3"):
+            read_label_table(p)
 
 
 class TestSamplesAndCrop:

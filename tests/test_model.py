@@ -1,5 +1,7 @@
 """Model assembly, initialization, forward contract, and transfer surgery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,33 @@ class TestBuild:
         model = build_model(tiny_config(), seed=0)
         for name in model.param_names():
             assert model.param(name).weights.dtype == np.float32
+
+
+def params_digest(model):
+    h = hashlib.sha256()
+    for p in model.params:
+        h.update(p.name.encode("utf-8"))
+        h.update(p.weights.tobytes())
+        h.update(p.bias.tobytes())
+    return h.hexdigest()
+
+
+class TestInitDigest:
+    # Pinned bits of the initial weights: a change to the layer plan, the
+    # fan-in/fan-out rule or the draw order shows up here, where comparing
+    # two builds from the same code cannot see it.
+    def test_desk_config_initial_weights(self):
+        model = build_model(desk_config(6), seed=0)
+        assert params_digest(model) == (
+            "62fa08b38d852c76a6a4fa2eb49e5e4a09fa58a7f7387b4c39b04be78c7c9eb0"
+        )
+
+    def test_transferred_head_initial_weights(self):
+        source = build_model(desk_config(6), seed=0)
+        model = transfer(source, head=(128,), num_classes=5, policy=FREEZE_BACKBONE, seed=1)
+        assert params_digest(model) == (
+            "320ca670f8f192f96199b9003e258fb8b2d7b083bee56ed68039ebda65271165"
+        )
 
 
 class TestForward:
