@@ -95,23 +95,27 @@ def _parse_bbox(row: dict, row_num: int):
         ) from None
 
 
+def _read_rows(path, required: set[str]) -> list[dict]:
+    """The rows of a CSV manifest whose header names every ``required`` column."""
+    try:
+        f = open(path, newline="")
+    except OSError as e:
+        raise ManifestError(f"{path}: {e}") from None
+    with f:
+        try:
+            reader = csv.DictReader(f)
+            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+                raise ManifestError(f"{path}: header must include columns {sorted(required)}")
+            return list(reader)
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ManifestError(f"{path}: {e}") from e
+
+
 def load_dataset(root_dir, split: str | None = None) -> Dataset:
     """Load a dataset directory; pass split='train'/'test' to filter rows."""
     if split is not None and split not in SPLITS:
         raise ManifestError(f"split must be one of {SPLITS}, got {split!r}")
-    manifest_path = os.path.join(root_dir, MANIFEST_NAME)
-    try:
-        f = open(manifest_path, newline="")
-    except OSError as e:
-        raise ManifestError(f"{manifest_path}: {e}") from None
-    with f:
-        reader = csv.DictReader(f)
-        required = {"id", "class_name", "split"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ManifestError(
-                f"{manifest_path}: header must include columns {sorted(required)}"
-            )
-        rows = list(reader)
+    rows = _read_rows(os.path.join(root_dir, MANIFEST_NAME), {"id", "class_name", "split"})
 
     seen = set()
     class_names = set()
@@ -158,18 +162,7 @@ def read_label_table(csv_path) -> tuple[dict[str, int], tuple[str, ...]]:
     Class indices are assigned by sorting the class names in the file, the
     same rule load_dataset uses.  Returns (label_of_id, class_names).
     """
-    try:
-        f = open(csv_path, newline="")
-    except OSError as e:
-        raise ManifestError(f"{csv_path}: {e}") from None
-    with f:
-        reader = csv.DictReader(f)
-        required = {"id", "class_name"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ManifestError(
-                f"{csv_path}: header must include columns {sorted(required)}"
-            )
-        rows = list(reader)
+    rows = _read_rows(csv_path, {"id", "class_name"})
     for i, row in enumerate(rows, start=2):
         if row["class_name"] is None:
             raise ManifestError(f"{csv_path} row {i}: missing class_name")

@@ -176,7 +176,10 @@ def write_matrix(matrix: PredictionMatrix, path) -> None:
 def read_matrix(path, model_name: str | None = None) -> PredictionMatrix:
     """Parse and validate a prediction-matrix CSV."""
     with open(path, newline="") as f:
-        lines = f.read().splitlines()
+        try:
+            lines = f.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise MatrixParseError(f"{path}: {e}") from e
     if not lines:
         raise MatrixParseError(f"{path}: empty file, missing header")
     header = lines[0].split(",")

@@ -16,32 +16,47 @@ import numpy as np
 from .errors import ConfigError, ShapeError, decode_config, encode_config
 
 
-def _sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: str) -> np.ndarray:
-    """Gather bilinear samples at float source coords; fill is 'zero' or 'edge'."""
+def _sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Gather bilinear samples at float source coords, zero outside the image."""
     c, h, w = image.shape
     one = image.dtype.type(1)
-    if fill == "edge":
-        xs = np.clip(xs, 0.0, w - 1.0)
-        ys = np.clip(ys, 0.0, h - 1.0)
+    flat = image.reshape(c, h * w)
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
     wx = (xs - x0).astype(image.dtype)
     wy = (ys - y0).astype(image.dtype)
 
-    def corner(yi, xi):
-        inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        vals = image[:, yi.clip(0, h - 1), xi.clip(0, w - 1)]
-        if fill == "zero":
-            vals = vals * inside.astype(image.dtype)
-        return vals
+    def taps(i0, size, stride):
+        # (clamped flat offset, in-range mask) for the source index i0 and i0 + 1
+        return [(i.clip(0, size - 1) * stride, (i >= 0) & (i < size)) for i in (i0, i0 + 1)]
 
-    top = (one - wx) * corner(y0, x0) + wx * corner(y0, x0 + 1)
-    bottom = (one - wx) * corner(y0 + 1, x0) + wx * corner(y0 + 1, x0 + 1)
+    def corner(row, col):
+        (offset, in_y), (index, in_x) = row, col
+        # A multiply, not a select: a negative or non-finite value outside
+        # the image keeps the sign of zero or the NaN that the product gives.
+        return flat.take(offset + index, axis=1) * (in_y & in_x).astype(image.dtype)
+
+    row0, row1 = taps(y0, h, w)
+    col0, col1 = taps(x0, w, 1)
+    top = (one - wx) * corner(row0, col0) + wx * corner(row0, col1)
+    bottom = (one - wx) * corner(row1, col0) + wx * corner(row1, col1)
     return (one - wy) * top + wy * bottom
 
 
+def _edge_taps(size: int, out_size: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both source indices and the weight of the second, along one resized axis."""
+    src = (np.arange(out_size, dtype=np.float64) + 0.5) * (size / out_size) - 0.5
+    src = np.clip(src, 0.0, size - 1.0)
+    i0 = np.floor(src).astype(np.int64)
+    return i0, np.minimum(i0 + 1, size - 1), (src - i0).astype(dtype)
+
+
 def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize [C, H, W] with half-pixel-center sampling and edge clamping."""
+    """Resize [C, H, W] with half-pixel-center sampling and edge clamping.
+
+    Separable: every source row is interpolated along x first, then the rows
+    are mixed along y, which is the arithmetic of the four-corner form.
+    """
     if image.ndim != 3:
         raise ShapeError(f"image must be [C, H, W], got shape {image.shape}")
     if out_h < 1 or out_w < 1:
@@ -49,10 +64,11 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     _, h, w = image.shape
     if (out_h, out_w) == (h, w):
         return image.copy()
-    src_y = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
-    src_x = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    ys, xs = np.meshgrid(src_y, src_x, indexing="ij")
-    return _sample_bilinear(image, xs, ys, fill="edge")
+    one = image.dtype.type(1)
+    x0, x1, wx = _edge_taps(w, out_w, image.dtype)
+    y0, y1, wy = _edge_taps(h, out_h, image.dtype)
+    rows = (one - wx) * image[:, :, x0] + wx * image[:, :, x1]
+    return (one - wy)[:, None] * rows[:, y0] + wy[:, None] * rows[:, y1]
 
 
 def hflip(image: np.ndarray) -> np.ndarray:
@@ -144,22 +160,19 @@ def augment(
     dy = draw.shift_y_frac * h
     theta = np.deg2rad(draw.angle_deg)
 
-    ys_out, xs_out = np.meshgrid(
-        np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
-    )
     # Invert the forward chain rotate -> flip -> shift: undo the shift, undo
-    # the flip, then rotate by -theta about the image center.
-    xs = xs_out - dx
-    ys = ys_out - dy
+    # the flip, then rotate by -theta about the image center.  The terms
+    # before the rotation depend on the column or the row alone.
+    xs = np.arange(w, dtype=np.float64) - dx
     if draw.flip:
         xs = (w - 1) - xs
     xr = xs - cx
-    yr = ys - cy
+    yr = (np.arange(h, dtype=np.float64) - dy - cy)[:, None]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     xs_src = cos_t * xr + sin_t * yr + cx
     ys_src = -sin_t * xr + cos_t * yr + cy
 
-    out = _sample_bilinear(image, xs_src, ys_src, fill="zero")
+    out = _sample_bilinear(image, xs_src, ys_src)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -8,6 +8,8 @@ rejected rather than silently rescaled.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import IngestError
@@ -49,12 +51,15 @@ def read_ppm(path) -> np.ndarray:
             raise IngestError(f"{path}: invalid dimensions {width}x{height}")
         if maxval != 255:
             raise IngestError(f"{path}: unsupported maxval {maxval} (only 255)")
-        data = f.read(width * height * 3)
-        if len(data) != width * height * 3:
-            raise IngestError(
-                f"{path}: pixel data truncated "
-                f"({len(data)} of {width * height * 3} bytes)"
-            )
+        # A corrupt header can claim gigabytes; refuse it before ``read``
+        # allocates a buffer of that size.
+        size = width * height * 3
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if size > left:
+            raise IngestError(f"{path}: pixel data truncated ({left} of {size} bytes)")
+        data = f.read(size)
+        if len(data) != size:
+            raise IngestError(f"{path}: pixel data truncated ({len(data)} of {size} bytes)")
         if f.read(1):
             raise IngestError(f"{path}: trailing bytes after pixel data")
     return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)

@@ -200,3 +200,67 @@ def softmax_naive(logits):
         s = sum(exps)
         out[i] = [e / s for e in exps]
     return out
+
+
+def sample_bilinear_gather(image, xs, ys, fill):
+    """Four-corner bilinear gather by 2-D advanced indexing; fill 'zero' or 'edge'.
+
+    The resampler as it was before it became separable and flat-indexed; the
+    library's resize and augmentation must match it bit for bit.
+    """
+    c, h, w = image.shape
+    one = image.dtype.type(1)
+    if fill == "edge":
+        xs = np.clip(xs, 0.0, w - 1.0)
+        ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    wx = (xs - x0).astype(image.dtype)
+    wy = (ys - y0).astype(image.dtype)
+
+    def corner(yi, xi):
+        inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+        vals = image[:, yi.clip(0, h - 1), xi.clip(0, w - 1)]
+        if fill == "zero":
+            vals = vals * inside.astype(image.dtype)
+        return vals
+
+    top = (one - wx) * corner(y0, x0) + wx * corner(y0, x0 + 1)
+    bottom = (one - wx) * corner(y0 + 1, x0) + wx * corner(y0 + 1, x0 + 1)
+    return (one - wy) * top + wy * bottom
+
+
+def resize_bilinear_gather(image, out_h, out_w):
+    """Half-pixel-center resize over a full coordinate meshgrid, edge clamped."""
+    _, h, w = image.shape
+    if (out_h, out_w) == (h, w):
+        return image.copy()
+    src_y = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    src_x = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    ys, xs = np.meshgrid(src_y, src_x, indexing="ij")
+    return sample_bilinear_gather(image, xs, ys, fill="edge")
+
+
+def augment_gather(image, angle_deg, flip, shift_x_frac, shift_y_frac):
+    """Rotate, flip, then shift as one zero-filled resample over a full meshgrid."""
+    if angle_deg == 0.0 and not flip and shift_x_frac == 0.0 and shift_y_frac == 0.0:
+        return image.copy()
+    _, h, w = image.shape
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    dx = shift_x_frac * w
+    dy = shift_y_frac * h
+    theta = np.deg2rad(angle_deg)
+    ys_out, xs_out = np.meshgrid(
+        np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
+    )
+    xs = xs_out - dx
+    ys = ys_out - dy
+    if flip:
+        xs = (w - 1) - xs
+    xr = xs - cx
+    yr = ys - cy
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    xs_src = cos_t * xr + sin_t * yr + cx
+    ys_src = -sin_t * xr + cos_t * yr + cy
+    out = sample_bilinear_gather(image, xs_src, ys_src, fill="zero")
+    return np.clip(out, 0.0, 1.0)

@@ -7,6 +7,7 @@ the tests then assert on the artifacts and on the failure-path exit codes.
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +248,29 @@ class TestPredict:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_oversized_ppm_header_exits_2(self, pipeline, capsys):
+        data = str(pipeline["root"] / "huge_ppm_data")
+        shutil.copytree(pipeline["target_data"], data)
+        lines = Path(data, "labels.csv").read_text().splitlines()
+        test_id = next(line.split(",")[0] for line in lines if line.split(",")[2] == "test")
+        with open(os.path.join(data, f"{test_id}.ppm"), "wb") as f:
+            f.write(b"P6\n300000 300000\n255\n" + bytes(12))
+        code = main(["predict", "--model", pipeline["runs"]["frozen"], "--data", data,
+                     "--split", "test", "--out", str(pipeline["root"] / "huge.csv")])
+        assert code == 2
+        assert "truncated" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_exits_2(self, pipeline, capsys):
+        data = str(pipeline["root"] / "non_utf8_data")
+        shutil.copytree(pipeline["target_data"], data)
+        manifest = Path(data, "labels.csv")
+        manifest.write_bytes(manifest.read_bytes() + b"\xff,c\xffat,test\n")
+        code = main(["predict", "--model", pipeline["runs"]["frozen"], "--data", data,
+                     "--split", "test", "--out", str(pipeline["root"] / "non_utf8.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestEnsemble:
     def test_single_member_report_matches_member(self, pipeline):
         report_path = str(pipeline["root"] / "solo.json")
@@ -305,6 +329,25 @@ class TestEnsemble:
                      "--out", str(pipeline["root"] / "short.json")])
         assert code == 2
         assert "row 3" in capsys.readouterr().err
+
+
+    def test_non_utf8_labels_exit_2(self, pipeline, capsys):
+        labels = pipeline["root"] / "non_utf8_labels.csv"
+        labels.write_bytes(Path(pipeline["labels"]).read_bytes() + b"z,c\xffat,test\n")
+        code = main(["ensemble", "--members", str(pipeline["preds"] / "frozen.csv"),
+                     "--labels", str(labels),
+                     "--out", str(pipeline["root"] / "non_utf8.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_member_exits_2(self, pipeline, capsys):
+        member = pipeline["root"] / "non_utf8_member.csv"
+        member.write_bytes((pipeline["preds"] / "frozen.csv").read_bytes() + b"\xff,1,0,0\n")
+        code = main(["ensemble", "--members", str(member),
+                     "--labels", pipeline["labels"],
+                     "--out", str(pipeline["root"] / "non_utf8_member.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestGradcheck:

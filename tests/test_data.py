@@ -71,6 +71,13 @@ class TestPpm:
         with pytest.raises(IngestError):
             read_ppm(p)
 
+    def test_rejects_size_beyond_file_before_reading(self, tmp_path):
+        # 300000 x 300000 x 3 bytes would need a 270 GB read buffer.
+        p = tmp_path / "a.ppm"
+        p.write_bytes(b"P6\n300000 300000\n255\n" + bytes(12))
+        with pytest.raises(IngestError, match="truncated"):
+            read_ppm(p)
+
     def test_write_rejects_non_uint8(self, tmp_path):
         with pytest.raises(Exception):
             write_ppm(tmp_path / "x.ppm", np.zeros((2, 2, 3), dtype=np.float32))
@@ -142,6 +149,29 @@ class TestManifest:
         self.write_dataset(tmp_path, ["a1,x,train,1,2,5,6"], with_bbox=True)
         ds = load_dataset(tmp_path)
         assert ds.samples[0].bbox == (1, 2, 5, 6)
+
+    def test_non_utf8_manifest_is_manifest_error(self, tmp_path):
+        self.write_dataset(tmp_path, ["a1,x,train"])
+        (tmp_path / "labels.csv").write_bytes(b"id,class_name,split\na1,c\xffat,train\n")
+        with pytest.raises(ManifestError) as info:
+            load_dataset(tmp_path)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    def test_non_utf8_label_table_is_manifest_error(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_bytes(b"id,class_name\na,c\xffat\n")
+        with pytest.raises(ManifestError) as info:
+            read_label_table(p)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    def test_field_over_csv_limit_is_manifest_error(self, tmp_path):
+        # The csv module refuses a field over 131072 characters with csv.Error.
+        self.write_dataset(tmp_path, ["a1,x,train"])
+        (tmp_path / "labels.csv").write_text("id,class_name,split\na1," + "x" * 200_000 + ",train\n")
+        with pytest.raises(ManifestError, match="field larger"):
+            load_dataset(tmp_path)
+        with pytest.raises(ManifestError, match="field larger"):
+            read_label_table(tmp_path / "labels.csv")
 
     def test_label_table_short_row_names_it(self, tmp_path):
         p = tmp_path / "labels.csv"

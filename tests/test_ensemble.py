@@ -217,6 +217,13 @@ class TestCsvFormat:
         with pytest.raises(MatrixParseError):
             read_matrix(p)
 
+    def test_non_utf8_is_parse_error(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"sample_id,p_0,p_1\n\xff,0.5,0.5\n")
+        with pytest.raises(MatrixParseError) as info:
+            read_matrix(p)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
     def test_row_sum_violation_surfaces_as_parse_error(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("sample_id,p_0,p_1\na,0.9,0.9\n")
