@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import CheckpointError, ConfigError, UnsupportedVersionError
 from .layers import LayerParams
 from .model import Model, ModelConfig, _layer_plan, config_from_dict, config_to_dict
@@ -75,7 +76,7 @@ def save_model(model: Model, path, history_summary: dict | None = None) -> None:
     for p in model.params:
         records.append((f"{p.name}.weight", p.weights))
         records.append((f"{p.name}.bias", p.bias))
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", FORMAT_VERSION))
         f.write(struct.pack("<I", len(header)))

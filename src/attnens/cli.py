@@ -19,6 +19,7 @@ import json
 import os
 import sys
 
+from .atomic import atomic_write
 from .checkpoint import load_checkpoint, load_model, save_model
 from .data import Dataset, crop_bbox, load_dataset, read_label_table
 from .ensemble import (
@@ -137,7 +138,7 @@ def _ensure_parent(path) -> None:
 
 def _write_json(obj, path) -> None:
     _ensure_parent(path)
-    with open(path, "w") as f:
+    with atomic_write(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import AlignmentError, ConfigError, MatrixParseError
 
 ROW_SUM_TOLERANCE = 1e-5
@@ -167,7 +168,7 @@ def select_best_k(candidates, k: int) -> list[tuple[str, float]]:
 def write_matrix(matrix: PredictionMatrix, path) -> None:
     """Write the CSV form with 12-significant-digit probabilities."""
     k = matrix.num_classes
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         f.write("sample_id," + ",".join(f"p_{i}" for i in range(k)) + "\n")
         for sid, row in zip(matrix.sample_ids, matrix.probs):
             f.write(sid + "," + ",".join(f"{v:.12g}" for v in row) + "\n")

@@ -8,7 +8,12 @@ no input array is ever mutated.
 
 Convolution is cross-correlation (no kernel flip).  ``same`` padding is
 symmetric, with any odd leftover pixel going to the bottom/right edge, and
-preserves ``ceil(size / stride)``.  Max pooling uses a fixed 2x2 window with
+preserves ``ceil(size / stride)``.  A conv cache holds the padded input (the
+input itself for ``valid`` padding), not the kh*kw times larger im2col patch
+matrix: conv2d_forward drops that matrix after its product, and
+conv2d_backward rebuilds it from the padded input.  ``input_grad=False``
+skips the input gradient; the model's bottom conv uses it, since nothing
+reads the image's gradient.  Max pooling uses a fixed 2x2 window with
 stride 2; ties resolve to the first element in row-major scan order.
 """
 
@@ -100,18 +105,23 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 
 
 def _col2im(cols: np.ndarray, padded_shape, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Scatter-add a patch matrix back onto the padded input grid."""
+    """Scatter-add a patch matrix back onto the padded [N,C,H,W] input grid.
+
+    The sums build up in a channel-major (C, N, H, W) buffer, so each of the
+    kh*kw slice-adds reads its rows of ``cols`` in place; the result is an
+    NCHW view of that buffer.
+    """
     n, c, h, w = padded_shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    patches = cols.reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
-    out = np.zeros(padded_shape, dtype=cols.dtype)
+    patches = cols.reshape(c, kh, kw, n, ho, wo)
+    out = np.zeros((c, n, h, w), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                patches[:, :, i, j]
+                patches[:, i, j]
             )
-    return out
+    return out.transpose(1, 0, 2, 3)
 
 
 def conv2d_forward(
@@ -147,32 +157,36 @@ def conv2d_forward(
     else:
         raise ConfigError(f"padding must be 'same' or 'valid', got {padding!r}")
 
-    cols = _im2col(xp, kh, kw, stride)
     w_mat = p.weights.reshape(c_out, c_in * kh * kw)
-    y = (w_mat @ cols).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
-    y = y + p.bias[None, :, None, None]
-    cache = (x.shape, (pt, pb, pl, pr), stride, p, cols, (ho, wo))
+    y = w_mat @ _im2col(xp, kh, kw, stride)
+    y += p.bias[:, None]
+    y = y.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
+    cache = (xp, (pt, pb, pl, pr), stride, p, (ho, wo))
     return y, cache
 
 
-def conv2d_backward(cache, grad_y: np.ndarray):
-    """Gradients of conv2d_forward w.r.t. input, weights, and bias."""
-    x_shape, (pt, pb, pl, pr), stride, p, cols, (ho, wo) = cache
-    n, c_in, h, w = x_shape
-    c_out = p.weights.shape[0]
+def conv2d_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
+    """Gradients of conv2d_forward w.r.t. input, weights, and bias.
+
+    The patch matrix is rebuilt from the cached padded input.  With
+    ``input_grad=False`` the input gradient is not computed and comes back
+    as None; the weight and bias gradients are the same either way.
+    """
+    xp, (pt, pb, pl, pr), stride, p, (ho, wo) = cache
+    n, c_in, hp, wp = xp.shape
+    c_out, _, kh, kw = p.weights.shape
     if grad_y.shape != (n, c_out, ho, wo):
         raise ShapeError(
             f"grad shape {grad_y.shape} != forward output shape {(n, c_out, ho, wo)}"
         )
     g = grad_y.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
     grad_b = g.sum(axis=1)
-    grad_w = (g @ cols.T).reshape(p.weights.shape)
-    w_mat = p.weights.reshape(c_out, -1)
-    grad_cols = w_mat.T @ g
-    padded_shape = (n, c_in, h + pt + pb, w + pl + pr)
-    kh, kw = p.weights.shape[2:]
-    grad_xp = _col2im(grad_cols, padded_shape, kh, kw, stride)
-    grad_x = grad_xp[:, :, pt : pt + h, pl : pl + w]
+    grad_w = (g @ _im2col(xp, kh, kw, stride).T).reshape(p.weights.shape)
+    if not input_grad:
+        return None, grad_w, grad_b
+    grad_cols = p.weights.reshape(c_out, -1).T @ g
+    grad_xp = _col2im(grad_cols, xp.shape, kh, kw, stride)
+    grad_x = grad_xp[:, :, pt : hp - pb, pl : wp - pr]
     return grad_x, grad_w, grad_b
 
 
@@ -305,12 +319,13 @@ def maxpool2d_backward(cache, grad_y: np.ndarray):
     tie goes to the first element.  Every other input gets ``+0.0``.  A window
     containing NaN has a NaN maximum that equals no input, so it routes no
     gradient; softmax_forward raises NumericError before training could
-    backpropagate through one.
+    backpropagate through one.  The gradient takes the memory layout of
+    ``x``, so a conv's channel-major output gets a channel-major gradient.
     """
     x, y = cache
     if grad_y.shape != y.shape:
         raise ShapeError(f"grad shape {grad_y.shape} != {y.shape}")
-    grad_x = np.empty(x.shape, dtype=grad_y.dtype)
+    grad_x = np.empty_like(x, dtype=grad_y.dtype)
     zero = grad_y.dtype.type(0)
     free = np.ones(y.shape, dtype=bool)
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):

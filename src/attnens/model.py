@@ -9,7 +9,7 @@ then a logits layer feeding softmax).
 steps.  The parameter plan is its flattened layers; ``forward_cached`` runs
 each step through the ``_KINDS`` table and records a (kind, layer names,
 cache) tape entry; ``backward`` walks the tape in reverse through the same
-table.
+table, except that the bottom conv computes weight gradients only.
 
 Initialization is a pure function of (config, seed): layers feeding a ReLU
 draw He-uniform weights, layers feeding sigmoid or softmax draw
@@ -322,8 +322,13 @@ def backward(model: Model, tape, grad_logits: np.ndarray) -> dict[str, np.ndarra
     """Walk the tape in reverse, returning '<layer>.weight'/'<layer>.bias' grads."""
     grads: dict[str, np.ndarray] = {}
     grad = grad_logits
-    for kind, names, cache in reversed(tape):
-        grad, pairs = _KINDS[kind][1](cache, grad)
+    for depth in reversed(range(len(tape))):
+        kind, names, cache = tape[depth]
+        if depth == 0 and kind == "conv":
+            # Nothing reads the image's gradient, so the bottom conv skips it.
+            grad, pairs = _weight_grads(conv2d_backward(cache, grad, input_grad=False))
+        else:
+            grad, pairs = _KINDS[kind][1](cache, grad)
         for name, (gw, gb) in zip(names, pairs):
             grads[f"{name}.weight"] = gw
             grads[f"{name}.bias"] = gb

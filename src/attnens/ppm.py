@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import IngestError
 
 
@@ -73,6 +74,6 @@ def write_ppm(path, pixels: np.ndarray) -> None:
             f"got {pixels.dtype} {pixels.shape}"
         )
     height, width = pixels.shape[:2]
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         f.write(np.ascontiguousarray(pixels).tobytes())

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .data import Dataset, Sample, image_from_uint8
 from .errors import ConfigError, decode_config, encode_config
 from .ppm import write_ppm
@@ -175,7 +176,7 @@ def write_synth_dataset(spec: SynthSpec, out_dir) -> int:
     """Materialize the task as PPM files plus labels.csv; returns sample count."""
     os.makedirs(out_dir, exist_ok=True)
     count = 0
-    with open(os.path.join(out_dir, "labels.csv"), "w", newline="") as f:
+    with atomic_write(os.path.join(out_dir, "labels.csv"), "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["id", "class_name", "split", "x_min", "y_min", "x_max", "y_max"])
         for sid, cname, split, pixels, bbox in _generate(spec):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .data import Dataset
 from .ensemble import PredictionMatrix
 from .errors import ConfigError, NumericError, ShapeError, decode_config, encode_config
@@ -116,10 +117,10 @@ def epoch_permutation(shuffle_seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def _resized_images(dataset: Dataset, input_size) -> list[np.ndarray]:
+def _resized_images(samples, input_size) -> list[np.ndarray]:
     h, w, c = input_size
     images = []
-    for s in dataset.samples:
+    for s in samples:
         if s.image.shape[0] != c:
             raise ShapeError(
                 f"sample {s.id!r} has {s.image.shape[0]} channels, model expects {c}"
@@ -182,7 +183,7 @@ def train(
     if cfg.epochs == 0:
         return model, []
 
-    images = _resized_images(train_set, model.config.input_size)
+    images = _resized_images(train_set.samples, model.config.input_size)
     labels = train_set.labels()
     n = len(train_set)
     k = model.config.num_classes
@@ -243,10 +244,13 @@ def evaluate(
     _check_class_space(model, dataset, "eval")
     if len(dataset) == 0:
         raise ConfigError("evaluation set is empty")
-    images = _resized_images(dataset, model.config.input_size)
     chunks = []
     for start in range(0, len(dataset), batch_size):
-        batch = np.stack(images[start : start + batch_size]).astype(np.float32, copy=False)
+        # Resize one batch at a time; train resizes up front because it
+        # revisits its images every epoch.
+        samples = dataset.samples[start : start + batch_size]
+        batch = np.stack(_resized_images(samples, model.config.input_size))
+        batch = batch.astype(np.float32, copy=False)
         probs, _ = forward_cached(model, batch, ForwardMode.eval())
         chunks.append(probs)
     probs = np.concatenate(chunks, axis=0)
@@ -258,7 +262,7 @@ def evaluate(
 
 def write_history_csv(history: list[EpochStats], path) -> None:
     """Write per-epoch stats; floats use shortest round-trip formatting."""
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         f.write(",".join(HISTORY_COLUMNS) + "\n")
         for s in history:
             f.write(

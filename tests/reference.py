@@ -264,3 +264,78 @@ def augment_gather(image, angle_deg, flip, shift_x_frac, shift_y_frac):
     ys_src = -sin_t * xr + cos_t * yr + cy
     out = sample_bilinear_gather(image, xs_src, ys_src, fill="zero")
     return np.clip(out, 0.0, 1.0)
+
+
+def im2col_strided(xp, kh, kw, stride):
+    """Unfold padded [N,C,H,W] into a (C*kh*kw, N*ho*wo) patch matrix."""
+    n, c, h, w = xp.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, c, kh, kw, ho, wo),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+    )
+    return windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * ho * wo)
+
+
+def col2im_nchw(cols, padded_shape, kh, kw, stride):
+    """Scatter-add a patch matrix back onto the padded input grid, NCHW."""
+    n, c, h, w = padded_shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    patches = cols.reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
+    out = np.zeros(padded_shape, dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
+                patches[:, :, i, j]
+            )
+    return out
+
+
+def conv2d_forward_cols(x, p, stride=1, padding="same"):
+    """The conv forward pass as it was when its cache held the patch matrix.
+
+    ``p`` has ``weights`` and ``bias``.  The library's conv must match this
+    and conv2d_backward_cols bit for bit; input checks are left out.
+    """
+    c_out, c_in, kh, kw = p.weights.shape
+    n, _, h, w = x.shape
+    if padding == "same":
+        ho, wo = -(-h // stride), -(-w // stride)
+        need_h = max((ho - 1) * stride + kh - h, 0)
+        need_w = max((wo - 1) * stride + kw - w, 0)
+        pt, pl = need_h // 2, need_w // 2
+        pb, pr = need_h - pt, need_w - pl
+        xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    else:
+        pt = pb = pl = pr = 0
+        ho = (h - kh) // stride + 1
+        wo = (w - kw) // stride + 1
+        xp = x
+
+    cols = im2col_strided(xp, kh, kw, stride)
+    w_mat = p.weights.reshape(c_out, c_in * kh * kw)
+    y = (w_mat @ cols).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
+    y = y + p.bias[None, :, None, None]
+    cache = (x.shape, (pt, pb, pl, pr), stride, p, cols, (ho, wo))
+    return y, cache
+
+
+def conv2d_backward_cols(cache, grad_y):
+    """Gradients of conv2d_forward_cols w.r.t. input, weights, and bias."""
+    x_shape, (pt, pb, pl, pr), stride, p, cols, (ho, wo) = cache
+    n, c_in, h, w = x_shape
+    c_out = p.weights.shape[0]
+    g = grad_y.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
+    grad_b = g.sum(axis=1)
+    grad_w = (g @ cols.T).reshape(p.weights.shape)
+    w_mat = p.weights.reshape(c_out, -1)
+    grad_cols = w_mat.T @ g
+    padded_shape = (n, c_in, h + pt + pb, w + pl + pr)
+    kh, kw = p.weights.shape[2:]
+    grad_xp = col2im_nchw(grad_cols, padded_shape, kh, kw, stride)
+    grad_x = grad_xp[:, :, pt : pt + h, pl : pl + w]
+    return grad_x, grad_w, grad_b

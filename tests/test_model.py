@@ -230,6 +230,43 @@ class TestForward:
         backward(model, tape, softmax_cross_entropy_grad(onehot, probs))
         assert calls == {"ca_forward": 1, "conv2d_backward": 2}
 
+    def test_bottom_conv_skips_image_gradient(self, monkeypatch):
+        seen = []
+        original = model_module.conv2d_backward
+
+        def recording(cache, grad, input_grad=True):
+            seen.append(input_grad)
+            return original(cache, grad, input_grad=input_grad)
+
+        monkeypatch.setattr(model_module, "conv2d_backward", recording)
+        model = build_model(tiny_config(num_classes=4), seed=0)
+        x = np.random.default_rng(4).random((2, 3, 16, 16)).astype(np.float32)
+        probs, tape = forward_cached(model, x, ForwardMode.train(0))
+        onehot = np.eye(4, dtype=np.float32)[[0, 2]]
+        backward(model, tape, softmax_cross_entropy_grad(onehot, probs))
+        assert seen == [True, False]
+
+    def test_conv_caches_hold_no_patch_matrix(self):
+        # At evaluate()'s batch of 64, no array a conv step keeps on the tape
+        # may be larger than its padded input; the im2col patch matrix is
+        # kernel*kernel times that.
+        config = desk_config(5)
+        model = build_model(config, seed=0)
+        h, w, c = config.input_size
+        x = np.random.default_rng(6).random((64, c, h, w)).astype(np.float32)
+        _, tape = forward_cached(model, x, ForwardMode.eval())
+        caches = [cache for kind, _, cache in tape if kind == "conv"]
+        assert len(caches) == len(config.backbone)
+        for block, cache in zip(config.backbone, caches):
+            k = block.kernel
+            padded_bytes = 64 * c * (h + k - 1) * (w + k - 1) * x.itemsize
+            arrays = [a for a in cache if isinstance(a, np.ndarray)]
+            assert arrays
+            assert max(a.nbytes for a in arrays) <= padded_bytes
+            c = block.out_channels
+            if block.pool:
+                h, w = h // 2, w // 2
+
     def test_backward_emits_grad_per_live_param(self):
         model = build_model(tiny_config(num_classes=4), seed=0)
         x = np.random.default_rng(4).random((2, 3, 16, 16)).astype(np.float32)

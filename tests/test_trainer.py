@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import attnens.trainer as trainer_module
 from attnens.data import Dataset, Sample
 from attnens.errors import ConfigError, NumericError
 from attnens.imageops import AugmentConfig
@@ -242,6 +243,27 @@ class TestEvaluate:
         _, m2 = evaluate(model, ds, batch_size=64)
         np.testing.assert_allclose(m1.probs, m2.probs, rtol=1e-6)
 
+
+    def test_resizes_one_batch_at_a_time(self, monkeypatch):
+        # Each batch is resized just before its forward pass, so no more than
+        # one batch of resized copies is alive at once.
+        events = []
+        original_resize = trainer_module.resize_bilinear
+        original_forward = trainer_module.forward_cached
+
+        def resize(*args):
+            events.append("resize")
+            return original_resize(*args)
+
+        def forward(*args):
+            events.append("forward")
+            return original_forward(*args)
+
+        monkeypatch.setattr(trainer_module, "resize_bilinear", resize)
+        monkeypatch.setattr(trainer_module, "forward_cached", forward)
+        ds = toy_dataset(n_per_class=3, size=20)  # 9 samples, resized to 16x16
+        evaluate(build_model(tiny_model_config(), seed=0), ds, batch_size=4)
+        assert events == (["resize"] * 4 + ["forward"]) * 2 + ["resize", "forward"]
 
 class TestHistorySerialization:
     def rows(self):
