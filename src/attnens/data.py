@@ -111,6 +111,20 @@ def _read_rows(path, required: set[str]) -> list[dict]:
             raise ManifestError(f"{path}: {e}") from e
 
 
+def _row_id(row: dict, where: str) -> str:
+    """The stripped id of a manifest row; ``where`` names the row in errors.
+
+    ``predict`` writes ids unquoted into its CSV, so an id holding a comma or
+    a line break is refused here rather than breaking that file later.
+    """
+    sid = (row["id"] or "").strip()
+    if not sid:
+        raise ManifestError(f"{where}: empty id")
+    if any(ch in sid for ch in ",\r\n"):
+        raise ManifestError(f"{where}: id {sid!r} holds a comma or a line break")
+    return sid
+
+
 def load_dataset(root_dir, split: str | None = None) -> Dataset:
     """Load a dataset directory; pass split='train'/'test' to filter rows."""
     if split is not None and split not in SPLITS:
@@ -120,9 +134,7 @@ def load_dataset(root_dir, split: str | None = None) -> Dataset:
     seen = set()
     class_names = set()
     for i, row in enumerate(rows, start=2):
-        sid = (row["id"] or "").strip()
-        if not sid:
-            raise ManifestError(f"{MANIFEST_NAME} row {i}: empty id")
+        sid = _row_id(row, f"{MANIFEST_NAME} row {i}")
         if sid in seen:
             raise ManifestError(f"{MANIFEST_NAME} row {i}: duplicate id {sid!r}")
         seen.add(sid)
@@ -170,9 +182,7 @@ def read_label_table(csv_path) -> tuple[dict[str, int], tuple[str, ...]]:
     index_of = {name: i for i, name in enumerate(names)}
     table: dict[str, int] = {}
     for i, row in enumerate(rows, start=2):
-        sid = (row["id"] or "").strip()
-        if not sid:
-            raise ManifestError(f"{csv_path} row {i}: empty id")
+        sid = _row_id(row, f"{csv_path} row {i}")
         if sid in table:
             raise ManifestError(f"{csv_path} row {i}: duplicate id {sid!r}")
         table[sid] = index_of[row["class_name"]]

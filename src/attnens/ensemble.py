@@ -49,8 +49,12 @@ class PredictionMatrix:
             raise ConfigError("sample ids must be unique")
         if k < 1:
             raise ConfigError("matrix needs at least one class column")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ConfigError("probabilities must lie in [0, 1]")
+        # A membership test, so that NaN, which fails every comparison, is
+        # refused too.
+        outside = ~((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+        if np.any(outside):
+            row = int(np.argmax(outside))
+            raise ConfigError(f"row {row}: probabilities must lie in [0, 1]")
         sums = probs.sum(axis=1)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
         if np.any(bad):

@@ -13,8 +13,15 @@ input itself for ``valid`` padding), not the kh*kw times larger im2col patch
 matrix: conv2d_forward drops that matrix after its product, and
 conv2d_backward rebuilds it from the padded input.  ``input_grad=False``
 skips the input gradient; the model's bottom conv uses it, since nothing
-reads the image's gradient.  Max pooling uses a fixed 2x2 window with
-stride 2; ties resolve to the first element in row-major scan order.
+reads the image's gradient.  A stride-1 conv whose output keeps the input's
+size (every conv of the model) scatters its input gradient with one long
+slice-add per kernel offset on the unpadded plane (_col2im_same); other
+convs scatter onto the padded grid and crop (_col2im), which also redoes an
+input gradient of the first kind that holds a NaN, so that both give the
+same bits.  Max pooling uses a fixed 2x2 window with stride 2; ties resolve
+to the first element in row-major scan order, and the backward pass copies
+the gradient's bit patterns as unsigned integers, so a routed ``-0.0`` or
+NaN keeps its bits and every other input gets ``+0.0``.
 """
 
 from __future__ import annotations
@@ -124,6 +131,39 @@ def _col2im(cols: np.ndarray, padded_shape, kh: int, kw: int, stride: int) -> np
     return out.transpose(1, 0, 2, 3)
 
 
+def _col2im_same(cols: np.ndarray, x_shape, kh: int, kw: int, pt: int, pl: int) -> np.ndarray:
+    """Scatter-add a stride-1 patch matrix straight onto the unpadded input.
+
+    With stride 1 and output size equal to input size, patch ``(i, j)`` lands
+    on the flattened (C, N, H*W) plane at the constant offset
+    ``(i - pt) * W + (j - pl)``, so each of the kh*kw adds is one long
+    slice-add.  Rows above or below the plane fall outside the slice.  Patch
+    columns whose true target is the left or right padding would wrap onto a
+    neighbouring row, so they are first set to ``+0.0`` in ``cols`` (which is
+    overwritten; _col2im would add them to the padding it crops).  That
+    keeps every bit of _col2im's cropped result except the sign and payload
+    of a NaN: each sum starts at ``+0.0`` and, under round-to-nearest, a sum
+    that starts there is never ``-0.0``, so adding ``+0.0`` to it changes
+    nothing, and inf is unchanged by it too.  The adds keep _col2im's order,
+    and the result is an NCHW view of the channel-major buffer.
+    """
+    n, c, h, w = x_shape
+    hw = h * w
+    patches = cols.reshape(c, kh, kw, n, h, w)
+    for j in range(kw):
+        patches[:, :, j, :, :, : min(max(pl - j, 0), w)] = 0
+        patches[:, :, j, :, :, max(w + pl - j, 0) :] = 0
+    flat = patches.reshape(c, kh, kw, n, hw)
+    out = np.zeros((c, n, hw), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            off = (i - pt) * w + (j - pl)
+            lo, hi = max(0, -off), min(hw, hw - off)
+            if lo < hi:
+                out[:, :, lo + off : hi + off] += flat[:, i, j, :, lo:hi]
+    return out.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+
+
 def conv2d_forward(
     x: np.ndarray, p: LayerParams, stride: int = 1, padding: str = "same"
 ):
@@ -170,7 +210,8 @@ def conv2d_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
 
     The patch matrix is rebuilt from the cached padded input.  With
     ``input_grad=False`` the input gradient is not computed and comes back
-    as None; the weight and bias gradients are the same either way.
+    as None; the weight and bias gradients are the same either way.  The
+    input gradient is an NCHW view of a channel-major buffer.
     """
     xp, (pt, pb, pl, pr), stride, p, (ho, wo) = cache
     n, c_in, hp, wp = xp.shape
@@ -185,6 +226,16 @@ def conv2d_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
     if not input_grad:
         return None, grad_w, grad_b
     grad_cols = p.weights.reshape(c_out, -1).T @ g
+    h, w = hp - pt - pb, wp - pl - pr
+    if stride == 1 and (ho, wo) == (h, w):
+        grad_x = _col2im_same(grad_cols, (n, c_in, h, w), kh, kw, pt, pl)
+        # Which of two NaNs a sum keeps depends on where NumPy's add loop
+        # meets it, and _col2im_same's long rows split differently from the
+        # padded grid's short ones; any other value has the same bits either
+        # way.  So a NaN result is redone on the padded grid, where the
+        # zeroed columns land only in the cropped padding.
+        if not np.isnan(grad_x).any():
+            return grad_x, grad_w, grad_b
     grad_xp = _col2im(grad_cols, xp.shape, kh, kw, stride)
     grad_x = grad_xp[:, :, pt : hp - pb, pl : wp - pr]
     return grad_x, grad_w, grad_b
@@ -316,7 +367,11 @@ def maxpool2d_backward(cache, grad_y: np.ndarray):
     """Route each window's gradient to the first input equal to its maximum.
 
     Offsets are tested in row-major order (0,0), (0,1), (1,0), (1,1), so a
-    tie goes to the first element.  Every other input gets ``+0.0``.  A window
+    tie goes to the first element.  Each quarter of the gradient is written
+    as the gradient's bits, viewed as unsigned integers of the same width,
+    times that offset's hit mask: the routed input gets the upstream value
+    bit for bit (``-0.0`` and NaN included), and every other input gets
+    all-zero bits, which are ``+0.0``.  A window
     containing NaN has a NaN maximum that equals no input, so it routes no
     gradient; softmax_forward raises NumericError before training could
     backpropagate through one.  The gradient takes the memory layout of
@@ -326,11 +381,12 @@ def maxpool2d_backward(cache, grad_y: np.ndarray):
     if grad_y.shape != y.shape:
         raise ShapeError(f"grad shape {grad_y.shape} != {y.shape}")
     grad_x = np.empty_like(x, dtype=grad_y.dtype)
-    zero = grad_y.dtype.type(0)
+    bits = np.dtype(f"u{grad_y.dtype.itemsize}")
+    g, out = grad_y.view(bits), grad_x.view(bits)
     free = np.ones(y.shape, dtype=bool)
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         hit = x[:, :, i::2, j::2] == y
         hit &= free
         free ^= hit  # hit lies inside free, so this clears the windows it took
-        grad_x[:, :, i::2, j::2] = np.where(hit, grad_y, zero)
+        np.multiply(g, hit, out=out[:, :, i::2, j::2])
     return grad_x

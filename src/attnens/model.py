@@ -9,7 +9,11 @@ then a logits layer feeding softmax).
 steps.  The parameter plan is its flattened layers; ``forward_cached`` runs
 each step through the ``_KINDS`` table and records a (kind, layer names,
 cache) tape entry; ``backward`` walks the tape in reverse through the same
-table, except that the bottom conv computes weight gradients only.
+table, except that the bottom conv computes weight gradients only.  A pooled
+block's ReLU and pool form one ``relu_maxpool`` step: its backward applies
+the ReLU mask ``y > 0`` of the pooled output ``y`` to the quarter-size
+upstream gradient and then routes it through the pool, which gives the bits
+of relu_backward after maxpool2d_backward without a full-size mask pass.
 
 Initialization is a pure function of (config, seed): layers feeding a ReLU
 draw He-uniform weights, layers feeding sigmoid or softmax draw
@@ -194,9 +198,7 @@ def _steps(config: ModelConfig):
         k = block.kernel
         shape = (block.out_channels, channels, k, k)
         yield "conv", (_PlannedLayer(f"conv{i + 1}", shape, "he", True),)
-        yield "relu", ()
-        if block.pool:
-            yield "maxpool", ()
+        yield ("relu_maxpool" if block.pool else "relu"), ()
         channels = block.out_channels
     if config.attention is not None:
         cr = config.attention.reduced
@@ -256,6 +258,20 @@ def _attention_backward(cache, grad):
     return grad, (g["reduce"], g["expand"])
 
 
+def _relu_maxpool_forward(x):
+    r, _ = relu_forward(x)
+    return maxpool2d_forward(r)
+
+
+def _relu_maxpool_backward(cache, grad):
+    # The pool routes each window's gradient to an element equal to the
+    # window's maximum y, so that element passes the ReLU exactly when y > 0:
+    # masking before routing equals relu_backward after it, bit for bit.
+    # Every other element gets +0.0 either way.
+    _, y = cache
+    return maxpool2d_backward(cache, grad * (y > 0)), ()
+
+
 # Step kind -> (forward, backward).  forward(x, *args) returns (y, cache);
 # backward(cache, grad) returns the input grad and one (weight, bias) grad
 # pair per parameter layer of the step.  The entries name the layer functions
@@ -268,7 +284,7 @@ _KINDS = {
         lambda c, g: _weight_grads(conv2d_backward(c, g)),
     ),
     "relu": (lambda x: relu_forward(x), lambda c, g: (relu_backward(c, g), ())),
-    "maxpool": (lambda x: maxpool2d_forward(x), lambda c, g: (maxpool2d_backward(c, g), ())),
+    "relu_maxpool": (_relu_maxpool_forward, _relu_maxpool_backward),
     "attention": (_attention_forward, _attention_backward),
     "gap": (lambda x: gap_forward(x), lambda c, g: (gap_backward(c, g), ())),
     "dense": (lambda x, p: dense_forward(x, p), lambda c, g: _weight_grads(dense_backward(c, g))),

@@ -1,9 +1,10 @@
 """Reading and writing binary PPM (P6) images with maxval 255.
 
 The header accepts arbitrary whitespace and '#' comments between tokens, as
-produced by common converters.  Exactly one whitespace byte separates the
-maxval from the pixel data.  Only 8-bit RGB is supported; anything else is
-rejected rather than silently rescaled.
+produced by common converters; a header field longer than MAX_TOKEN_BYTES is
+refused.  Exactly one whitespace byte separates the maxval from the pixel
+data.  Only 8-bit RGB is supported; anything else is rejected rather than
+silently rescaled.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import IngestError
+
+
+# No valid header field comes near this length (a maxval is 3 digits, a
+# dimension that fits in memory at most 10); a longer token is corrupt.
+MAX_TOKEN_BYTES = 20
 
 
 def _read_token(f, path) -> bytes:
@@ -30,6 +36,8 @@ def _read_token(f, path) -> bytes:
             if token:
                 return token
             continue
+        if len(token) == MAX_TOKEN_BYTES:
+            raise IngestError(f"{path}: header field longer than {MAX_TOKEN_BYTES} bytes")
         token += ch
 
 

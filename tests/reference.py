@@ -80,6 +80,22 @@ def maxpool_backward_naive(x, grad_y):
     return grad_x
 
 
+def maxpool_backward_where(x, y, grad_y):
+    """The maxpool backward pass as it was before it routed integer bits.
+
+    First-match routing with ``np.where(hit, grad_y, 0)``, an NCHW result.
+    Unlike maxpool_backward_naive, a NaN window routes nothing, as in the
+    library.
+    """
+    grad_x = np.empty(x.shape, dtype=grad_y.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = (x[:, :, i::2, j::2] == y) & free
+        free &= ~hit
+        grad_x[:, :, i::2, j::2] = np.where(hit, grad_y, grad_y.dtype.type(0))
+    return grad_x
+
+
 def gap_naive(x):
     n, c, h, w = x.shape
     y = np.zeros((n, c), dtype=x.dtype)

@@ -271,6 +271,29 @@ class TestPredict:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_id_with_comma_exits_2(self, pipeline, capsys):
+        data = str(pipeline["root"] / "comma_id_data")
+        shutil.copytree(pipeline["target_data"], data)
+        manifest = Path(data, "labels.csv")
+        lines = manifest.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.split(",")[2] == "test")
+        sid = lines[row].split(",")[0]
+        os.rename(os.path.join(data, f"{sid}.ppm"), os.path.join(data, "a,b.ppm"))
+        lines[row] = '"a,b"' + lines[row][len(sid):]
+        manifest.write_text("\n".join(lines) + "\n")
+        out = pipeline["root"] / "comma_id.csv"
+        code = main(["predict", "--model", pipeline["runs"]["frozen"], "--data", data,
+                     "--split", "test", "--out", str(out)])
+        assert code == 2
+        assert f"row {row + 1}" in capsys.readouterr().err
+        assert not out.exists()
+        code = main(["ensemble", "--members", str(pipeline["preds"] / "frozen.csv"),
+                     "--labels", str(manifest),
+                     "--out", str(pipeline["root"] / "comma_id.json")])
+        assert code == 2
+        assert f"row {row + 1}" in capsys.readouterr().err
+
+
 class TestEnsemble:
     def test_single_member_report_matches_member(self, pipeline):
         report_path = str(pipeline["root"] / "solo.json")
@@ -339,6 +362,18 @@ class TestEnsemble:
                      "--out", str(pipeline["root"] / "non_utf8.json")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_member_row_exits_2(self, pipeline, capsys):
+        lines = (pipeline["preds"] / "frozen.csv").read_text().splitlines()
+        sid = lines[1].split(",")[0]
+        lines[1] = sid + ",nan" * (len(lines[0].split(",")) - 1)
+        member = pipeline["root"] / "nan_member.csv"
+        member.write_text("\n".join(lines) + "\n")
+        code = main(["ensemble", "--members", str(member),
+                     "--labels", pipeline["labels"],
+                     "--out", str(pipeline["root"] / "nan_member.json")])
+        assert code == 2
+        assert "row 0: probabilities must lie in [0, 1]" in capsys.readouterr().err
 
     def test_non_utf8_member_exits_2(self, pipeline, capsys):
         member = pipeline["root"] / "non_utf8_member.csv"

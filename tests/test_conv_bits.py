@@ -51,6 +51,18 @@ def assert_same_bits(got, want):
          padding="same", non_finite=True, channel_major=False)
 @example(seed=2, dtype=np.float32, n=2, c_in=5, c_out=2, h=9, w=4, kh=5, kw=2, stride=2,
          padding="valid", non_finite=True, channel_major=True)
+@example(seed=3, dtype=np.float32, n=2, c_in=2, c_out=3, h=1, w=2, kh=3, kw=3, stride=1,
+         padding="same", non_finite=True, channel_major=True)
+@example(seed=4, dtype=np.float64, n=2, c_in=2, c_out=3, h=1, w=2, kh=3, kw=3, stride=1,
+         padding="same", non_finite=False, channel_major=False)
+@example(seed=5, dtype=np.float32, n=1, c_in=2, c_out=2, h=1, w=4, kh=1, kw=2, stride=1,
+         padding="same", non_finite=True, channel_major=False)
+@example(seed=6, dtype=np.float64, n=3, c_in=1, c_out=2, h=1, w=4, kh=1, kw=2, stride=1,
+         padding="same", non_finite=False, channel_major=True)
+# Two NaNs of opposite sign meet in one input gradient sum: which one the
+# sum keeps depends on the layout of NumPy's add loop.
+@example(seed=945166504, dtype=np.float32, n=1, c_in=3, c_out=3, h=1, w=9, kh=4, kw=4,
+         stride=1, padding="same", non_finite=True, channel_major=False)
 def test_conv_matches_patch_matrix_form(
     seed, dtype, n, c_in, c_out, h, w, kh, kw, stride, padding, non_finite, channel_major
 ):

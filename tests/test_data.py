@@ -78,6 +78,43 @@ class TestPpm:
         with pytest.raises(IngestError, match="truncated"):
             read_ppm(p)
 
+    def test_overlong_header_field_stops_reading_early(self, tmp_path, monkeypatch):
+        # A corrupt 1 MB digit run is refused after a few bytes, not parsed.
+        import attnens.ppm as ppm_module
+
+        p = tmp_path / "a.ppm"
+        p.write_bytes(b"P6\n" + b"9" * 1_000_000 + b" 1\n255\n" + bytes(3))
+        read = []
+
+        class Counting:
+            def __init__(self, f):
+                self._f = f
+
+            def read(self, size=-1):
+                data = self._f.read(size)
+                read.append(len(data))
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self._f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._f.close()
+
+        monkeypatch.setattr(ppm_module, "open", lambda *a: Counting(open(*a)), raising=False)
+        with pytest.raises(IngestError, match="header field longer"):
+            read_ppm(p)
+        assert sum(read) <= 3 + ppm_module.MAX_TOKEN_BYTES + 1
+
+    def test_longest_header_fields_accepted(self, tmp_path):
+        p = tmp_path / "a.ppm"
+        field = b"0" * (20 - 1) + b"1"
+        p.write_bytes(b"P6\n" + field + b" " + field + b"\n255\n" + bytes(3))
+        assert read_ppm(p).shape == (1, 1, 3)
+
     def test_write_rejects_non_uint8(self, tmp_path):
         with pytest.raises(Exception):
             write_ppm(tmp_path / "x.ppm", np.zeros((2, 2, 3), dtype=np.float32))
@@ -171,6 +208,18 @@ class TestManifest:
         with pytest.raises(ManifestError, match="field larger"):
             load_dataset(tmp_path)
         with pytest.raises(ManifestError, match="field larger"):
+            read_label_table(tmp_path / "labels.csv")
+
+    @pytest.mark.parametrize("sid", ["a,b", "a\nb", "a\rb"])
+    def test_id_that_breaks_prediction_csv_names_row(self, tmp_path, sid):
+        # The manifest is valid CSV; the id, written unquoted by predict, is not.
+        write_ppm(tmp_path / "a1.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        (tmp_path / "labels.csv").write_text(
+            f'id,class_name,split\na1,x,train\n"{sid}",x,test\n', newline=""
+        )
+        with pytest.raises(ManifestError, match="row 3"):
+            load_dataset(tmp_path)
+        with pytest.raises(ManifestError, match="row 3"):
             read_label_table(tmp_path / "labels.csv")
 
     def test_label_table_short_row_names_it(self, tmp_path):

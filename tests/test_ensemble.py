@@ -224,6 +224,13 @@ class TestCsvFormat:
             read_matrix(p)
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
+    @pytest.mark.parametrize("row", ["a,nan,nan", "a,nan,1", "a,inf,0"])
+    def test_non_finite_probability_is_parse_error(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"sample_id,p_0,p_1\n{row}\n")
+        with pytest.raises(MatrixParseError, match=r"row 0: probabilities must lie in \[0, 1\]"):
+            read_matrix(p)
+
     def test_row_sum_violation_surfaces_as_parse_error(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("sample_id,p_0,p_1\na,0.9,0.9\n")

@@ -25,11 +25,13 @@ from attnens.layers import (
     sigmoid_forward,
     softmax_forward,
 )
+from attnens.model import _KINDS
 from reference import (
     conv2d_naive,
     dense_naive,
     gap_naive,
     maxpool_backward_naive,
+    maxpool_backward_where,
     maxpool_naive,
     softmax_naive,
 )
@@ -196,7 +198,7 @@ class TestPooling:
         x = np.empty((2, 15, 2, 2), dtype=dtype)
         for k in range(15):
             for pos in range(4):
-                x[:, k].flat[pos] = 1.5 if (k + 1) >> pos & 1 else below[pos]
+                x[:, k, pos // 2, pos % 2] = 1.5 if (k + 1) >> pos & 1 else below[pos]
         x[1] -= 3.0
         g = np.random.default_rng(11).uniform(-2.0, 2.0, size=(2, 15, 1, 1)).astype(dtype)
         _, cache = maxpool2d_forward(x)
@@ -236,6 +238,49 @@ class TestPooling:
         assert np.isnan(y[0, 0, 0, 0]) and y[0, 0, 0, 1] == 4.0
         gx = maxpool2d_backward(cache, np.array([[[[7.0, 9.0]]]]))
         np.testing.assert_array_equal(gx[0, 0], [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 9.0, 0.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channel_major", [False, True])
+    def test_fused_relu_maxpool_matches_the_pair_bitwise(self, dtype, channel_major):
+        # Few distinct values, so windows tie, ReLU zeroes whole windows and
+        # NaN and inf reach both the pool and the gradient.
+        forward, backward = _KINDS["relu_maxpool"]
+        x_values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, np.nan, np.inf, -np.inf], dtype)
+        g_values = np.array([-1.5, -0.0, 0.0, 0.25, 3.0, np.nan, np.inf, -np.inf], dtype)
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n, c = rng.integers(1, 4, size=2)
+            h, w = 2 * rng.integers(1, 4, size=2)
+            if channel_major:
+                x = rng.choice(x_values, size=(c, n, h, w)).transpose(1, 0, 2, 3)
+            else:
+                x = rng.choice(x_values, size=(n, c, h, w))
+            g = rng.choice(g_values, size=(n, c, h // 2, w // 2))
+            with np.errstate(invalid="ignore"):
+                y, cache = forward(x)
+                gx, pairs = backward(cache, g)
+                r, relu_cache = relu_forward(x)
+                want_y, pool_cache = maxpool2d_forward(r)
+                want = relu_backward(relu_cache, maxpool2d_backward(pool_cache, g))
+                old = relu_backward(relu_cache, maxpool_backward_where(r, want_y, g))
+            assert pairs == ()
+            assert y.tobytes() == want_y.tobytes()
+            assert gx.dtype == want.dtype == dtype
+            assert gx.shape == want.shape
+            assert gx.tobytes() == want.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_backward_keeps_gradient_bits(self, dtype):
+        # A routed -0.0 or NaN keeps its bits; every input not routed to is +0.0.
+        x = np.array([[[[1.0, 0.0, 2.0, 2.0], [0.0, 0.0, 2.0, 1.0]]]], dtype)
+        nan = np.frombuffer(np.array([-1], dtype=f"i{x.itemsize}").tobytes(), dtype)[0]
+        g = np.array([[[[-0.0, nan]]]], dtype)
+        _, cache = maxpool2d_forward(x)
+        gx = maxpool2d_backward(cache, g)
+        want = np.zeros_like(x)
+        want[0, 0, 0, 0], want[0, 0, 0, 2] = g[0, 0, 0]
+        assert gx.tobytes() == want.tobytes()
+        assert gx.tobytes() == maxpool_backward_where(x, cache[1], g).tobytes()
 
     def test_maxpool_backward_routes_to_argmax(self):
         x = np.array([[[[1.0, 2.0], [4.0, 3.0]]]])

@@ -246,6 +246,26 @@ class TestForward:
         backward(model, tape, softmax_cross_entropy_grad(onehot, probs))
         assert seen == [True, False]
 
+    def test_pooled_blocks_fold_relu_into_pool_backward(self, monkeypatch):
+        # Each pooled block's ReLU mask is applied inside its pool step, so a
+        # desk_config backward runs relu_backward for the head's ReLU only.
+        calls = []
+        original = model_module.relu_backward
+
+        def counting(cache, grad):
+            calls.append(grad.shape)
+            return original(cache, grad)
+
+        monkeypatch.setattr(model_module, "relu_backward", counting)
+        config = desk_config(5)
+        model = build_model(config, seed=0)
+        h, w, c = config.input_size
+        x = np.random.default_rng(7).random((2, c, h, w)).astype(np.float32)
+        probs, tape = forward_cached(model, x, ForwardMode.train(0))
+        onehot = np.eye(5, dtype=np.float32)[[1, 3]]
+        backward(model, tape, softmax_cross_entropy_grad(onehot, probs))
+        assert calls == [(2, config.head[0])]
+
     def test_conv_caches_hold_no_patch_matrix(self):
         # At evaluate()'s batch of 64, no array a conv step keeps on the tape
         # may be larger than its padded input; the im2col patch matrix is
