@@ -11,7 +11,7 @@ import os as _os
 # Cap BLAS thread pools before numpy is first imported anywhere in the
 # package.  0 or unset leaves the backend's own default in place.
 _threads = _os.environ.get("ATTN_ENS_THREADS", "").strip()
-if _threads.isdigit() and _threads != "0":
+if _threads.isascii() and _threads.isdigit() and _threads != "0":
     for _var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",

@@ -3,8 +3,11 @@
 Each channel of a feature map is squeezed to its global average, passed
 through a two-layer bottleneck (reduce -> ReLU -> expand -> sigmoid), and the
 resulting per-channel gate rescales the original map.  Both bottleneck stages
-are 1x1 convolutions, stored as [C_out, C_in, 1, 1] kernels and applied as
-matrix products on the squeezed [N, C] statistics.
+are 1x1 convolutions, stored as [C_out, C_in, 1, 1] kernels; on the squeezed
+[N, C] statistics they are dense layers whose weights are transposed views
+of those kernels.  The block is composed from the layer primitives (gap,
+dense, relu, sigmoid and their backward passes), so the gradient audit of
+each primitive covers the code the block runs.
 
 A large positive expand bias saturates every gate at 1, turning the block
 into an identity; this is the escape hatch used to compare gated and ungated
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import layers
 from .errors import ConfigError, ShapeError
-from .layers import LayerParams, sigmoid_forward
+from .layers import LayerParams
 
 
 @dataclass(frozen=True)
@@ -60,31 +64,25 @@ class AttentionParams:
             )
 
 
+def _as_dense(kernel: LayerParams) -> LayerParams:
+    """A [C_out, C_in, 1, 1] kernel as [C_in, C_out] dense weights: a view, not a copy."""
+    c_out, c_in = kernel.weights.shape[:2]
+    return LayerParams(kernel.name, kernel.weights.reshape(c_out, c_in).T, kernel.bias)
+
+
 def ca_forward(x: np.ndarray, p: AttentionParams):
     """Gate each channel of [N,C,H,W] by its squeezed bottleneck response.
 
     Returns (y, s, cache): the rescaled map, the [N,C] gate values, and the
-    intermediates needed by ca_backward.
+    intermediates needed by ca_backward; ``cache[4]`` is ``s``.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"attention input must be rank 4, got shape {x.shape}")
-    n, c, h, w = x.shape
-    cr = p.reduce.weights.shape[0]
-    if p.reduce.weights.shape[1] != c:
-        raise ShapeError(
-            f"attention expects {p.reduce.weights.shape[1]} channels, input has {c}"
-        )
-    wr = p.reduce.weights.reshape(cr, c)
-    we = p.expand.weights.reshape(c, cr)
-
-    z = x.mean(axis=(2, 3))
-    u = z @ wr.T + p.reduce.bias
-    hidden = np.maximum(u, 0)
-    v = hidden @ we.T + p.expand.bias
-    s, _ = sigmoid_forward(v)
+    z, gap_cache = layers.gap_forward(x)
+    u, reduce_cache = layers.dense_forward(z, _as_dense(p.reduce))
+    hidden, relu_cache = layers.relu_forward(u)
+    v, expand_cache = layers.dense_forward(hidden, _as_dense(p.expand))
+    s, _ = layers.sigmoid_forward(v)
     y = x * s[:, :, None, None]
-    cache = (x, z, u, hidden, s, p)
-    return y, s, cache
+    return y, s, (x, gap_cache, reduce_cache, relu_cache, s, expand_cache)
 
 
 def ca_backward(cache, grad_y: np.ndarray):
@@ -93,30 +91,16 @@ def ca_backward(cache, grad_y: np.ndarray):
     Returns (grad_x, grads) where grads maps 'reduce'/'expand' to
     (grad_weights, grad_bias) in the stored kernel shapes.
     """
-    x, z, u, hidden, s, p = cache
-    n, c, h, w = x.shape
+    x, gap_cache, reduce_cache, relu_cache, s, expand_cache = cache
     if grad_y.shape != x.shape:
         raise ShapeError(f"grad shape {grad_y.shape} != input shape {x.shape}")
-    cr = p.reduce.weights.shape[0]
-    wr = p.reduce.weights.reshape(cr, c)
-    we = p.expand.weights.reshape(c, cr)
-
-    grad_s = (grad_y * x).sum(axis=(2, 3))
-    grad_v = grad_s * s * (1.0 - s)
-    grad_we = grad_v.T @ hidden
-    grad_eb = grad_v.sum(axis=0)
-    grad_hidden = grad_v @ we
-    grad_u = grad_hidden * (u > 0)
-    grad_wr = grad_u.T @ z
-    grad_rb = grad_u.sum(axis=0)
-    grad_z = grad_u @ wr
-
-    grad_x = grad_y * s[:, :, None, None]
-    grad_x = grad_x + np.broadcast_to(
-        grad_z[:, :, None, None] / grad_y.dtype.type(h * w), x.shape
-    )
+    grad_v = layers.sigmoid_backward(s, (grad_y * x).sum(axis=(2, 3)))
+    grad_hidden, grad_we, grad_eb = layers.dense_backward(expand_cache, grad_v)
+    grad_u = layers.relu_backward(relu_cache, grad_hidden)
+    grad_z, grad_wr, grad_rb = layers.dense_backward(reduce_cache, grad_u)
+    grad_x = grad_y * s[:, :, None, None] + layers.gap_backward(gap_cache, grad_z)
     grads = {
-        "reduce": (grad_wr.reshape(p.reduce.weights.shape), grad_rb),
-        "expand": (grad_we.reshape(p.expand.weights.shape), grad_eb),
+        "reduce": (grad_wr.T[:, :, None, None], grad_rb),
+        "expand": (grad_we.T[:, :, None, None], grad_eb),
     }
     return grad_x, grads

@@ -86,7 +86,7 @@ def _check_threads_env() -> None:
     if value is None:
         return
     stripped = value.strip()
-    if not stripped.isdigit():
+    if not (stripped.isascii() and stripped.isdigit()):
         raise ConfigError(
             f"{THREADS_ENV} must be a non-negative integer (0 = auto), got {value!r}"
         )

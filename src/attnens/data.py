@@ -114,13 +114,15 @@ def _read_rows(path, required: set[str]) -> list[dict]:
 def _row_id(row: dict, where: str) -> str:
     """The stripped id of a manifest row; ``where`` names the row in errors.
 
-    ``predict`` writes ids unquoted into its CSV, so an id holding a comma or
-    a line break is refused here rather than breaking that file later.
+    ``predict`` writes ids unquoted into its CSV and ``read_matrix`` splits
+    that file with ``str.splitlines``, so an id holding a comma or anything
+    splitlines breaks on (a newline, but also a vertical tab, a form feed or
+    U+2028) is refused here rather than breaking that file later.
     """
     sid = (row["id"] or "").strip()
     if not sid:
         raise ManifestError(f"{where}: empty id")
-    if any(ch in sid for ch in ",\r\n"):
+    if "," in sid or sid.splitlines() != [sid]:
         raise ManifestError(f"{where}: id {sid!r} holds a comma or a line break")
     return sid
 

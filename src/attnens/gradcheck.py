@@ -131,7 +131,7 @@ def _check_conv2d(rng: np.random.Generator) -> float:
     b = rng.normal(size=3) * 0.1
 
     def forward(xv, wv, bv):
-        return layers.conv2d_forward(xv, LayerParams("conv", wv, bv), 1, "same")
+        return layers.conv2d_forward(xv, LayerParams("conv", wv, bv))
 
     return _check_pair(rng, forward, layers.conv2d_backward, x, w, b)
 

@@ -6,22 +6,21 @@ of the forward map.  All functions are pure: dropout randomness comes from
 an explicit seed, so identical inputs always produce identical outputs, and
 no input array is ever mutated.
 
-Convolution is cross-correlation (no kernel flip).  ``same`` padding is
-symmetric, with any odd leftover pixel going to the bottom/right edge, and
-preserves ``ceil(size / stride)``.  A conv cache holds the padded input (the
-input itself for ``valid`` padding), not the kh*kw times larger im2col patch
+Convolution is cross-correlation (no kernel flip) at stride 1 with ``same``
+padding, the one conv the network runs: the output keeps the input's size,
+and an odd leftover pixel of padding goes to the bottom/right edge.  A conv
+cache holds the padded input, not the kh*kw times larger im2col patch
 matrix: conv2d_forward drops that matrix after its product, and
 conv2d_backward rebuilds it from the padded input.  ``input_grad=False``
 skips the input gradient; the model's bottom conv uses it, since nothing
-reads the image's gradient.  A stride-1 conv whose output keeps the input's
-size (every conv of the model) scatters its input gradient with one long
-slice-add per kernel offset on the unpadded plane (_col2im_same); other
-convs scatter onto the padded grid and crop (_col2im), which also redoes an
-input gradient of the first kind that holds a NaN, so that both give the
-same bits.  Max pooling uses a fixed 2x2 window with stride 2; ties resolve
-to the first element in row-major scan order, and the backward pass copies
-the gradient's bit patterns as unsigned integers, so a routed ``-0.0`` or
-NaN keeps its bits and every other input gets ``+0.0``.
+reads the image's gradient.  The input gradient is scattered with one long
+slice-add per kernel offset on the unpadded plane (_col2im_same); one that
+holds a NaN is redone on the padded grid and cropped (_col2im), so that
+the sign and payload of a NaN do not depend on where NumPy's add loop
+splits rows.  Max pooling uses a fixed 2x2 window with stride 2; ties
+resolve to the first element in row-major scan order, and the backward
+pass copies the gradient's bit patterns as unsigned integers, so a routed
+``-0.0`` or NaN keeps its bits and every other input gets ``+0.0``.
 """
 
 from __future__ import annotations
@@ -83,35 +82,16 @@ class ForwardMode:
         return self.mode == "train"
 
 
-def _same_padding(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
-    """Return (pad_lo, pad_hi, out_size) for 'same' padding on one axis."""
-    out = -(-size // stride)
-    need = max((out - 1) * stride + kernel - size, 0)
-    lo = need // 2
-    return lo, need - lo, out
-
-
-def _valid_out(size: int, kernel: int, stride: int) -> int:
-    if kernel > size:
-        raise ShapeError(f"kernel size {kernel} exceeds input extent {size}")
-    return (size - kernel) // stride + 1
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Unfold padded [N,C,H,W] into a (C*kh*kw, N*ho*wo) patch matrix."""
     n, c, h, w = xp.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
+    ho, wo = h - kh + 1, w - kw + 1
     sn, sc, sh, sw = xp.strides
-    windows = as_strided(
-        xp,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-    )
+    windows = as_strided(xp, shape=(n, c, kh, kw, ho, wo), strides=(sn, sc, sh, sw, sh, sw))
     return windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * ho * wo)
 
 
-def _col2im(cols: np.ndarray, padded_shape, kh: int, kw: int, stride: int) -> np.ndarray:
+def _col2im(cols: np.ndarray, padded_shape, kh: int, kw: int) -> np.ndarray:
     """Scatter-add a patch matrix back onto the padded [N,C,H,W] input grid.
 
     The sums build up in a channel-major (C, N, H, W) buffer, so each of the
@@ -119,24 +99,21 @@ def _col2im(cols: np.ndarray, padded_shape, kh: int, kw: int, stride: int) -> np
     NCHW view of that buffer.
     """
     n, c, h, w = padded_shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
+    ho, wo = h - kh + 1, w - kw + 1
     patches = cols.reshape(c, kh, kw, n, ho, wo)
     out = np.zeros((c, n, h, w), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                patches[:, i, j]
-            )
+            out[:, :, i : i + ho, j : j + wo] += patches[:, i, j]
     return out.transpose(1, 0, 2, 3)
 
 
 def _col2im_same(cols: np.ndarray, x_shape, kh: int, kw: int, pt: int, pl: int) -> np.ndarray:
-    """Scatter-add a stride-1 patch matrix straight onto the unpadded input.
+    """Scatter-add a patch matrix straight onto the unpadded input.
 
-    With stride 1 and output size equal to input size, patch ``(i, j)`` lands
-    on the flattened (C, N, H*W) plane at the constant offset
-    ``(i - pt) * W + (j - pl)``, so each of the kh*kw adds is one long
+    The output has the input's size, so patch ``(i, j)`` lands on the
+    flattened (C, N, H*W) plane at the constant offset
+    ``(i - pt) * W + (j - pl)`` and each of the kh*kw adds is one long
     slice-add.  Rows above or below the plane fall outside the slice.  Patch
     columns whose true target is the left or right padding would wrap onto a
     neighbouring row, so they are first set to ``+0.0`` in ``cols`` (which is
@@ -164,10 +141,8 @@ def _col2im_same(cols: np.ndarray, x_shape, kh: int, kw: int, pt: int, pl: int) 
     return out.reshape(c, n, h, w).transpose(1, 0, 2, 3)
 
 
-def conv2d_forward(
-    x: np.ndarray, p: LayerParams, stride: int = 1, padding: str = "same"
-):
-    """2-D cross-correlation of [N,C_in,H,W] with [C_out,C_in,kh,kw] kernels."""
+def conv2d_forward(x: np.ndarray, p: LayerParams):
+    """Stride-1 ``same`` cross-correlation of [N,C_in,H,W] with [C_out,C_in,kh,kw] kernels."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got shape {x.shape}")
     if p.weights.ndim != 4:
@@ -181,28 +156,14 @@ def conv2d_forward(
         raise ShapeError(f"layer {p.name!r}: bias shape {p.bias.shape} != ({c_out},)")
     if x.dtype != p.weights.dtype:
         raise ShapeError(f"dtype mismatch: input {x.dtype} vs weights {p.weights.dtype}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
 
     n, _, h, w = x.shape
-    if padding == "same":
-        pt, pb, ho = _same_padding(h, kh, stride)
-        pl, pr, wo = _same_padding(w, kw, stride)
-        xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    elif padding == "valid":
-        pt = pb = pl = pr = 0
-        ho = _valid_out(h, kh, stride)
-        wo = _valid_out(w, kw, stride)
-        xp = x
-    else:
-        raise ConfigError(f"padding must be 'same' or 'valid', got {padding!r}")
-
-    w_mat = p.weights.reshape(c_out, c_in * kh * kw)
-    y = w_mat @ _im2col(xp, kh, kw, stride)
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
+    y = p.weights.reshape(c_out, c_in * kh * kw) @ _im2col(xp, kh, kw)
     y += p.bias[:, None]
-    y = y.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
-    cache = (xp, (pt, pb, pl, pr), stride, p, (ho, wo))
-    return y, cache
+    y = y.reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
+    return y, (xp, (pt, pl), p)
 
 
 def conv2d_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
@@ -213,31 +174,28 @@ def conv2d_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
     as None; the weight and bias gradients are the same either way.  The
     input gradient is an NCHW view of a channel-major buffer.
     """
-    xp, (pt, pb, pl, pr), stride, p, (ho, wo) = cache
+    xp, (pt, pl), p = cache
     n, c_in, hp, wp = xp.shape
     c_out, _, kh, kw = p.weights.shape
-    if grad_y.shape != (n, c_out, ho, wo):
+    h, w = hp - kh + 1, wp - kw + 1
+    if grad_y.shape != (n, c_out, h, w):
         raise ShapeError(
-            f"grad shape {grad_y.shape} != forward output shape {(n, c_out, ho, wo)}"
+            f"grad shape {grad_y.shape} != forward output shape {(n, c_out, h, w)}"
         )
-    g = grad_y.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
+    g = grad_y.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
     grad_b = g.sum(axis=1)
-    grad_w = (g @ _im2col(xp, kh, kw, stride).T).reshape(p.weights.shape)
+    grad_w = (g @ _im2col(xp, kh, kw).T).reshape(p.weights.shape)
     if not input_grad:
         return None, grad_w, grad_b
     grad_cols = p.weights.reshape(c_out, -1).T @ g
-    h, w = hp - pt - pb, wp - pl - pr
-    if stride == 1 and (ho, wo) == (h, w):
-        grad_x = _col2im_same(grad_cols, (n, c_in, h, w), kh, kw, pt, pl)
-        # Which of two NaNs a sum keeps depends on where NumPy's add loop
-        # meets it, and _col2im_same's long rows split differently from the
-        # padded grid's short ones; any other value has the same bits either
-        # way.  So a NaN result is redone on the padded grid, where the
-        # zeroed columns land only in the cropped padding.
-        if not np.isnan(grad_x).any():
-            return grad_x, grad_w, grad_b
-    grad_xp = _col2im(grad_cols, xp.shape, kh, kw, stride)
-    grad_x = grad_xp[:, :, pt : hp - pb, pl : wp - pr]
+    grad_x = _col2im_same(grad_cols, (n, c_in, h, w), kh, kw, pt, pl)
+    # Which of two NaNs a sum keeps depends on where NumPy's add loop meets
+    # it, and _col2im_same's long rows split differently from the padded
+    # grid's short ones; any other value has the same bits either way.  So a
+    # NaN result is redone on the padded grid, where the zeroed columns land
+    # only in the cropped padding.
+    if np.isnan(grad_x).any():
+        grad_x = _col2im(grad_cols, xp.shape, kh, kw)[:, :, pt : pt + h, pl : pl + w]
     return grad_x, grad_w, grad_b
 
 
@@ -259,7 +217,10 @@ def dense_backward(cache, grad_y: np.ndarray):
     if grad_y.shape != (x.shape[0], p.weights.shape[1]):
         raise ShapeError(f"grad shape {grad_y.shape} does not match dense output")
     grad_x = grad_y @ p.weights.T
-    grad_w = x.T @ grad_y
+    # The transpose of grad_y.T @ x, which is the gradient of a 1x1 kernel
+    # stored [U, D] as the attention block stores its kernels: that block
+    # gets the product it needs, NaN operand order included.
+    grad_w = (grad_y.T @ x).T
     grad_b = grad_y.sum(axis=0)
     return grad_x, grad_w, grad_b
 

@@ -280,7 +280,7 @@ def _relu_maxpool_backward(cache, grad):
 # every call.
 _KINDS = {
     "conv": (
-        lambda x, p: conv2d_forward(x, p, stride=1, padding="same"),
+        lambda x, p: conv2d_forward(x, p),
         lambda c, g: _weight_grads(conv2d_backward(c, g)),
     ),
     "relu": (lambda x: relu_forward(x), lambda c, g: (relu_backward(c, g), ())),

@@ -20,6 +20,9 @@ from .errors import IngestError
 # No valid header field comes near this length (a maxval is 3 digits, a
 # dimension that fits in memory at most 10); a longer token is corrupt.
 MAX_TOKEN_BYTES = 20
+# A '#' comment is skipped in lines of at most this many bytes: a few calls
+# per chunk, and no more than one chunk in memory however long it runs.
+COMMENT_CHUNK_BYTES = 1 << 16
 
 
 def _read_token(f, path) -> bytes:
@@ -29,8 +32,8 @@ def _read_token(f, path) -> bytes:
         if not ch:
             raise IngestError(f"{path}: unexpected end of file in header")
         if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = f.read(1)
+            while (chunk := f.readline(COMMENT_CHUNK_BYTES)) and not chunk.endswith(b"\n"):
+                pass
             continue
         if ch.isspace():
             if token:

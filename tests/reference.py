@@ -355,3 +355,64 @@ def conv2d_backward_cols(cache, grad_y):
     grad_xp = col2im_nchw(grad_cols, padded_shape, kh, kw, stride)
     grad_x = grad_xp[:, :, pt : pt + h, pl : pl + w]
     return grad_x, grad_w, grad_b
+
+
+def sigmoid_split(x):
+    """Sigmoid as layers.sigmoid_forward computes it, for ca_forward_inline."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ca_forward_inline(x, p):
+    """The attention block with gap, dense, ReLU and sigmoid written inline.
+
+    attention.ca_forward and ca_backward compose the same steps from the
+    layer primitives and must match this and ca_backward_inline bit for bit.
+    Input checks are left out.
+    """
+    n, c, h, w = x.shape
+    cr = p.reduce.weights.shape[0]
+    wr = p.reduce.weights.reshape(cr, c)
+    we = p.expand.weights.reshape(c, cr)
+
+    z = x.mean(axis=(2, 3))
+    u = z @ wr.T + p.reduce.bias
+    hidden = np.maximum(u, 0)
+    v = hidden @ we.T + p.expand.bias
+    s = sigmoid_split(v)
+    y = x * s[:, :, None, None]
+    cache = (x, z, u, hidden, s, p)
+    return y, s, cache
+
+
+def ca_backward_inline(cache, grad_y):
+    """Gradients of ca_forward_inline w.r.t. the input and both parameter pairs."""
+    x, z, u, hidden, s, p = cache
+    n, c, h, w = x.shape
+    cr = p.reduce.weights.shape[0]
+    wr = p.reduce.weights.reshape(cr, c)
+    we = p.expand.weights.reshape(c, cr)
+
+    grad_s = (grad_y * x).sum(axis=(2, 3))
+    grad_v = grad_s * s * (1.0 - s)
+    grad_we = grad_v.T @ hidden
+    grad_eb = grad_v.sum(axis=0)
+    grad_hidden = grad_v @ we
+    grad_u = grad_hidden * (u > 0)
+    grad_wr = grad_u.T @ z
+    grad_rb = grad_u.sum(axis=0)
+    grad_z = grad_u @ wr
+
+    grad_x = grad_y * s[:, :, None, None]
+    grad_x = grad_x + np.broadcast_to(
+        grad_z[:, :, None, None] / grad_y.dtype.type(h * w), x.shape
+    )
+    grads = {
+        "reduce": (grad_wr.reshape(p.reduce.weights.shape), grad_rb),
+        "expand": (grad_we.reshape(p.expand.weights.shape), grad_eb),
+    }
+    return grad_x, grads

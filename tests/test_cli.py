@@ -107,12 +107,12 @@ class TestTrainingRuns:
         pre_dir = os.path.dirname(pipeline["source_ckpt"])
         for name in ("checkpoint.aens", "history.csv", "resolved_config.json"):
             assert os.path.exists(os.path.join(pre_dir, name))
-        history = open(os.path.join(pre_dir, "history.csv")).read().splitlines()
+        history = Path(pre_dir, "history.csv").read_text().splitlines()
         assert len(history) == 1 + TRAIN["epochs"]
 
     def test_resolved_config_replays_inputs(self, pipeline):
         pre_dir = os.path.dirname(pipeline["source_ckpt"])
-        resolved = json.load(open(os.path.join(pre_dir, "resolved_config.json")))
+        resolved = json.loads(Path(pre_dir, "resolved_config.json").read_text())
         assert resolved["command"] == "pretrain"
         assert resolved["model"]["num_classes"] == 3
         assert resolved["train"]["epochs"] == TRAIN["epochs"]
@@ -213,7 +213,7 @@ class TestPredict:
             assert main(["predict", "--model", pipeline["runs"]["frozen"],
                          "--data", pipeline["target_data"], "--split", "test",
                          "--out", out, "--name", "again"]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_crop_flag_uses_bboxes(self, pipeline):
         out = str(pipeline["root"] / "cropped.csv")
@@ -226,7 +226,7 @@ class TestPredict:
         stripped = str(pipeline["root"] / "no_bbox_data")
         shutil.copytree(pipeline["target_data"], stripped)
         manifest = os.path.join(stripped, "labels.csv")
-        rows = [line.split(",")[:3] for line in open(manifest).read().splitlines()]
+        rows = [line.split(",")[:3] for line in Path(manifest).read_text().splitlines()]
         with open(manifest, "w") as f:
             f.write("\n".join(",".join(r) for r in rows) + "\n")
         code = main(["predict", "--model", pipeline["runs"]["frozen"],
@@ -237,7 +237,7 @@ class TestPredict:
 
 
     def test_corrupt_checkpoint_exits_2(self, pipeline, capsys):
-        raw = open(pipeline["runs"]["frozen"], "rb").read()
+        raw = Path(pipeline["runs"]["frozen"]).read_bytes()
         header_len = int.from_bytes(raw[8:12], "little")
         bad = str(pipeline["root"] / "bad.aens")
         with open(bad, "wb") as f:
@@ -293,13 +293,33 @@ class TestPredict:
         assert code == 2
         assert f"row {row + 1}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ch", "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+    def test_id_with_line_boundary_exits_2(self, pipeline, capsys, ch):
+        # read_matrix splits a prediction CSV with str.splitlines, which also
+        # breaks on these characters.
+        data = pipeline["root"] / f"boundary_id_data_{ord(ch):x}"
+        shutil.copytree(pipeline["target_data"], data)
+        manifest = data / "labels.csv"
+        lines = manifest.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.split(",")[2] == "test")
+        sid = lines[row].split(",")[0]
+        (data / f"{sid}.ppm").rename(data / f"{sid}{ch}x.ppm")
+        lines[row] = f"{sid}{ch}x" + lines[row][len(sid):]
+        manifest.write_text("\n".join(lines) + "\n")
+        out = pipeline["root"] / "boundary_id.csv"
+        code = main(["predict", "--model", pipeline["runs"]["frozen"], "--data", str(data),
+                     "--split", "test", "--out", str(out)])
+        assert code == 2
+        assert f"row {row + 1}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEnsemble:
     def test_single_member_report_matches_member(self, pipeline):
         report_path = str(pipeline["root"] / "solo.json")
         assert main(["ensemble", "--members", str(pipeline["preds"] / "frozen.csv"),
                      "--labels", pipeline["labels"], "--out", report_path]) == 0
-        report = json.load(open(report_path))
+        report = json.loads(Path(report_path).read_text())
         assert report["rule"] == "average"
         assert report["num_samples"] == 9
         assert len(report["members"]) == 1
@@ -311,7 +331,7 @@ class TestEnsemble:
                    str(pipeline["preds"] / "full.csv")]
         assert main(["ensemble", "--members", *members, "--weights", "2,1",
                      "--labels", pipeline["labels"], "--out", report_path]) == 0
-        report = json.load(open(report_path))
+        report = json.loads(Path(report_path).read_text())
         assert report["rule"] == "weighted_average"
         assert [m["weight"] for m in report["members"]] == [2.0, 1.0]
         assert set(report["per_class_accuracy"]) == {"triangle1", "ring1", "diamond1"}
@@ -323,10 +343,10 @@ class TestEnsemble:
                            str(pipeline["preds"] / "full.csv")])
         assert main(["ensemble", "--members", joined,
                      "--labels", pipeline["labels"], "--out", report_path]) == 0
-        assert len(json.load(open(report_path))["members"]) == 2
+        assert len(json.loads(Path(report_path).read_text())["members"]) == 2
 
     def test_misaligned_members_exit_2(self, pipeline, capsys):
-        lines = open(pipeline["preds"] / "frozen.csv").read().splitlines()
+        lines = (pipeline["preds"] / "frozen.csv").read_text().splitlines()
         lines[1], lines[2] = lines[2], lines[1]
         shuffled = pipeline["root"] / "shuffled.csv"
         shuffled.write_text("\n".join(lines) + "\n")
@@ -399,6 +419,13 @@ class TestGradcheck:
 class TestThreadsEnv:
     def test_invalid_value_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("ATTN_ENS_THREADS", "many")
+        assert main(["gradcheck", "--seed", "0"]) == 2
+        assert "ATTN_ENS_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["\u00b2", "\u0663"])
+    def test_non_ascii_digit_exits_2(self, monkeypatch, capsys, value):
+        # str.isdigit() holds for a superscript two and an Arabic-Indic three.
+        monkeypatch.setenv("ATTN_ENS_THREADS", value)
         assert main(["gradcheck", "--seed", "0"]) == 2
         assert "ATTN_ENS_THREADS" in capsys.readouterr().err
 

@@ -22,9 +22,41 @@ from attnens.imageops import (
     hflip,
     resize_bilinear,
 )
+import attnens.ppm as ppm_module
 from attnens.ppm import read_ppm, write_ppm
 from attnens.synth import SynthSpec, class_recipe, synth_dataset, write_synth_dataset
 from reference import resize_bilinear_naive
+
+
+def count_ppm_reads(monkeypatch):
+    """Record (method, bytes returned) for each read or readline of read_ppm's file."""
+    calls = []
+
+    class Counting:
+        def __init__(self, f):
+            self._f = f
+
+        def read(self, size=-1):
+            data = self._f.read(size)
+            calls.append(("read", len(data)))
+            return data
+
+        def readline(self, size=-1):
+            data = self._f.readline(size)
+            calls.append(("readline", len(data)))
+            return data
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+    monkeypatch.setattr(ppm_module, "open", lambda *a: Counting(open(*a)), raising=False)
+    return calls
 
 
 class TestPpm:
@@ -80,34 +112,19 @@ class TestPpm:
 
     def test_overlong_header_field_stops_reading_early(self, tmp_path, monkeypatch):
         # A corrupt 1 MB digit run is refused after a few bytes, not parsed.
-        import attnens.ppm as ppm_module
-
         p = tmp_path / "a.ppm"
         p.write_bytes(b"P6\n" + b"9" * 1_000_000 + b" 1\n255\n" + bytes(3))
-        read = []
-
-        class Counting:
-            def __init__(self, f):
-                self._f = f
-
-            def read(self, size=-1):
-                data = self._f.read(size)
-                read.append(len(data))
-                return data
-
-            def __getattr__(self, name):
-                return getattr(self._f, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self._f.close()
-
-        monkeypatch.setattr(ppm_module, "open", lambda *a: Counting(open(*a)), raising=False)
+        calls = count_ppm_reads(monkeypatch)
         with pytest.raises(IngestError, match="header field longer"):
             read_ppm(p)
-        assert sum(read) <= 3 + ppm_module.MAX_TOKEN_BYTES + 1
+        assert sum(n for _, n in calls) <= 3 + ppm_module.MAX_TOKEN_BYTES + 1
+
+    def test_long_comment_is_skipped_in_chunks(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.ppm"
+        p.write_bytes(b"P6\n# " + b"c" * 4_000_000 + b"\n1 1\n255\n" + bytes(3))
+        calls = count_ppm_reads(monkeypatch)
+        assert read_ppm(p).shape == (1, 1, 3)
+        assert len(calls) < 200
 
     def test_longest_header_fields_accepted(self, tmp_path):
         p = tmp_path / "a.ppm"
@@ -210,7 +227,10 @@ class TestManifest:
         with pytest.raises(ManifestError, match="field larger"):
             read_label_table(tmp_path / "labels.csv")
 
-    @pytest.mark.parametrize("sid", ["a,b", "a\nb", "a\rb"])
+    @pytest.mark.parametrize(
+        "sid",
+        ["a,b", "a\nb", "a\rb", *(f"a{ch}b" for ch in "\v\f\x1c\x1d\x1e\x85\u2028\u2029")],
+    )
     def test_id_that_breaks_prediction_csv_names_row(self, tmp_path, sid):
         # The manifest is valid CSV; the id, written unquoted by predict, is not.
         write_ppm(tmp_path / "a1.ppm", np.zeros((8, 8, 3), dtype=np.uint8))

@@ -49,38 +49,23 @@ class TestConv2d:
         y, _ = conv2d_forward(x, conv_params(w, b))
         np.testing.assert_array_equal(y, x)
 
-    def test_valid_sum_kernel(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).reshape(1, 1, 2, 2)
-        w = np.ones((1, 1, 2, 2), dtype=np.float32)
-        b = np.zeros(1, dtype=np.float32)
-        y, _ = conv2d_forward(x, conv_params(w, b), padding="valid")
-        np.testing.assert_array_equal(y, [[[[10.0]]]])
-
     def test_matches_naive_over_shapes(self):
         rng = np.random.default_rng(3)
         cases = [
-            # (N, C, H, W, O, kh, kw, stride, padding)
-            (2, 3, 7, 7, 4, 3, 3, 1, "same"),
-            (1, 2, 8, 6, 3, 3, 3, 2, "same"),
-            (2, 1, 5, 5, 2, 2, 2, 1, "valid"),
-            (1, 4, 9, 9, 1, 5, 5, 2, "same"),
-            (3, 2, 6, 8, 2, 3, 1, 1, "same"),
-            (1, 1, 4, 4, 1, 4, 4, 1, "valid"),
+            # (N, C, H, W, O, kh, kw)
+            (2, 3, 7, 7, 4, 3, 3),
+            (1, 2, 8, 6, 3, 3, 3),
+            (2, 1, 5, 5, 2, 2, 2),
+            (1, 4, 9, 9, 1, 5, 5),
+            (3, 2, 6, 8, 2, 3, 1),
+            (1, 1, 4, 4, 1, 4, 4),
         ]
-        for n, c, h, wd, o, kh, kw, stride, padding in cases:
+        for n, c, h, wd, o, kh, kw in cases:
             x = rng.standard_normal((n, c, h, wd)).astype(np.float64)
             w = rng.standard_normal((o, c, kh, kw)).astype(np.float64)
             b = rng.standard_normal(o).astype(np.float64)
-            y, _ = conv2d_forward(x, conv_params(w, b), stride=stride, padding=padding)
-            np.testing.assert_allclose(
-                y, conv2d_naive(x, w, b, stride, padding), rtol=1e-10, atol=1e-10
-            )
-
-    def test_same_output_size_is_ceil(self):
-        x = np.zeros((1, 1, 7, 5), dtype=np.float32)
-        w = np.zeros((1, 1, 3, 3), dtype=np.float32)
-        y, _ = conv2d_forward(x, conv_params(w, np.zeros(1, dtype=np.float32)), stride=2)
-        assert y.shape == (1, 1, 4, 3)
+            y, _ = conv2d_forward(x, conv_params(w, b))
+            np.testing.assert_allclose(y, conv2d_naive(x, w, b), rtol=1e-10, atol=1e-10)
 
     def test_backward_shapes(self):
         rng = np.random.default_rng(5)
