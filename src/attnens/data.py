@@ -117,13 +117,16 @@ def _row_id(row: dict, where: str) -> str:
     ``predict`` writes ids unquoted into its CSV and ``read_matrix`` splits
     that file with ``str.splitlines``, so an id holding a comma or anything
     splitlines breaks on (a newline, but also a vertical tab, a form feed or
-    U+2028) is refused here rather than breaking that file later.
+    U+2028) is refused here rather than breaking that file later.  So is an
+    id holding a NUL byte, which no file name can contain.
     """
     sid = (row["id"] or "").strip()
     if not sid:
         raise ManifestError(f"{where}: empty id")
     if "," in sid or sid.splitlines() != [sid]:
         raise ManifestError(f"{where}: id {sid!r} holds a comma or a line break")
+    if "\x00" in sid:
+        raise ManifestError(f"{where}: id {sid!r} holds a NUL byte")
     return sid
 
 

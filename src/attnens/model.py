@@ -9,7 +9,10 @@ then a logits layer feeding softmax).
 steps.  The parameter plan is its flattened layers; ``forward_cached`` runs
 each step through the ``_KINDS`` table and records a (kind, layer names,
 cache) tape entry; ``backward`` walks the tape in reverse through the same
-table, except that the bottom conv computes weight gradients only.  A pooled
+table, except that the bottom conv computes weight gradients only.  A pass
+that no backward will follow (``forward``, ``trainer.evaluate``) keeps no
+tape: each step's cache is dropped as soon as the step returns, so the ReLU
+outputs and padded conv inputs it holds are freed during the pass.  A pooled
 block's ReLU and pool form one ``relu_maxpool`` step: its backward applies
 the ReLU mask ``y > 0`` of the pooled output ``y`` to the quarter-size
 upstream gradient and then routes it through the pool, which gives the bits
@@ -295,13 +298,20 @@ _KINDS = {
 }
 
 
-def forward_cached(model: Model, batch: np.ndarray, mode: ForwardMode):
+def forward_cached(
+    model: Model, batch: np.ndarray, mode: ForwardMode, keep_tape: bool = True
+):
     """Run the full network, returning (probs, tape) for backpropagation.
 
     Each step of ``_steps`` appends one (kind, layer names, cache) entry to
     the tape, in forward order; the names are those of the step's parameter
     layers, empty for a step without parameters.  Softmax is applied to the
     last step's output and leaves no entry.
+
+    With ``keep_tape=False`` the tape is ``None`` and each step's cache is
+    dropped as soon as the step returns, so an array that only the cache
+    holds is freed before the next step runs, not at the end of the pass.
+    The probabilities are the same bits either way.
     """
     h, w, c = model.config.input_size
     if batch.ndim != 4 or batch.shape[1:] != (c, h, w):
@@ -309,7 +319,7 @@ def forward_cached(model: Model, batch: np.ndarray, mode: ForwardMode):
             f"batch shape {batch.shape} does not match expected (N, {c}, {h}, {w})"
         )
     params = {p.name: p for p in model.params}
-    tape = []
+    tape = [] if keep_tape else None
     x = batch
     dropouts = 0
     for kind, layers in _steps(model.config):
@@ -324,13 +334,18 @@ def forward_cached(model: Model, batch: np.ndarray, mode: ForwardMode):
         else:
             args = [params[name] for name in names]
         x, cache = _KINDS[kind][0](x, *args)
-        tape.append((kind, names, cache))
+        if keep_tape:
+            tape.append((kind, names, cache))
+        # Without the tape, this name would keep the cache alive through the
+        # next step.
+        del cache
     return softmax_forward(x), tape
 
 
 def forward(model: Model, batch: np.ndarray, mode: ForwardMode | None = None) -> np.ndarray:
     """Class probabilities for a batch; eval mode unless told otherwise."""
-    probs, _ = forward_cached(model, batch, mode if mode is not None else ForwardMode.eval())
+    mode = mode if mode is not None else ForwardMode.eval()
+    probs, _ = forward_cached(model, batch, mode, False)
     return probs
 
 

@@ -48,7 +48,7 @@ def read_ppm(path) -> np.ndarray:
     """Load a P6 file as a uint8 array of shape [H, W, 3]."""
     try:
         f = open(path, "rb")
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise IngestError(f"{path}: {e}") from None
     with f:
         if _read_token(f, path) != b"P6":

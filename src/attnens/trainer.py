@@ -240,7 +240,11 @@ def evaluate(
     batch_size: int = 64,
     model_name: str = "model",
 ) -> tuple[float, PredictionMatrix]:
-    """Eval-mode accuracy plus the full prediction matrix, in dataset order."""
+    """Eval-mode accuracy plus the full prediction matrix, in dataset order.
+
+    The forward pass keeps no tape: each step's cache is dropped as soon as
+    the step returns.  The probabilities are the taped pass's bits.
+    """
     _check_class_space(model, dataset, "eval")
     if len(dataset) == 0:
         raise ConfigError("evaluation set is empty")
@@ -251,7 +255,7 @@ def evaluate(
         samples = dataset.samples[start : start + batch_size]
         batch = np.stack(_resized_images(samples, model.config.input_size))
         batch = batch.astype(np.float32, copy=False)
-        probs, _ = forward_cached(model, batch, ForwardMode.eval())
+        probs, _ = forward_cached(model, batch, ForwardMode.eval(), False)
         chunks.append(probs)
     probs = np.concatenate(chunks, axis=0)
     labels = dataset.labels()

@@ -313,6 +313,22 @@ class TestPredict:
         assert f"row {row + 1}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_id_with_nul_byte_exits_2(self, pipeline, capsys):
+        data = pipeline["root"] / "nul_id_data"
+        shutil.copytree(pipeline["target_data"], data)
+        manifest = data / "labels.csv"
+        lines = manifest.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.split(",")[2] == "test")
+        sid = lines[row].split(",")[0]
+        lines[row] = f"{sid}\x00x" + lines[row][len(sid):]
+        manifest.write_text("\n".join(lines) + "\n")
+        out = pipeline["root"] / "nul_id.csv"
+        code = main(["predict", "--model", pipeline["runs"]["frozen"], "--data", str(data),
+                     "--split", "test", "--out", str(out)])
+        assert code == 2
+        assert f"row {row + 1}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEnsemble:
     def test_single_member_report_matches_member(self, pipeline):

@@ -132,6 +132,10 @@ class TestPpm:
         p.write_bytes(b"P6\n" + field + b" " + field + b"\n255\n" + bytes(3))
         assert read_ppm(p).shape == (1, 1, 3)
 
+    def test_nul_byte_in_path_is_ingest_error(self, tmp_path):
+        with pytest.raises(IngestError, match="null byte"):
+            read_ppm(str(tmp_path / "a\x00b.ppm"))
+
     def test_write_rejects_non_uint8(self, tmp_path):
         with pytest.raises(Exception):
             write_ppm(tmp_path / "x.ppm", np.zeros((2, 2, 3), dtype=np.float32))
@@ -237,6 +241,15 @@ class TestManifest:
         (tmp_path / "labels.csv").write_text(
             f'id,class_name,split\na1,x,train\n"{sid}",x,test\n', newline=""
         )
+        with pytest.raises(ManifestError, match="row 3"):
+            load_dataset(tmp_path)
+        with pytest.raises(ManifestError, match="row 3"):
+            read_label_table(tmp_path / "labels.csv")
+
+    def test_id_with_nul_byte_names_row(self, tmp_path):
+        # No file name can hold a NUL byte, so open() would raise ValueError.
+        write_ppm(tmp_path / "a1.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        (tmp_path / "labels.csv").write_text("id,class_name,split\na1,x,train\na\x00b,x,test\n")
         with pytest.raises(ManifestError, match="row 3"):
             load_dataset(tmp_path)
         with pytest.raises(ManifestError, match="row 3"):

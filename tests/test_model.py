@@ -1,11 +1,13 @@
 """Model assembly, initialization, forward contract, and transfer surgery."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
 import attnens.model as model_module
+from attnens.data import Dataset, Sample
 from attnens.errors import ConfigError, ShapeError, TransferError
 from attnens.layers import ForwardMode
 from attnens.model import (
@@ -24,7 +26,7 @@ from attnens.model import (
     paper_config,
     transfer,
 )
-from attnens.trainer import softmax_cross_entropy_grad
+from attnens.trainer import evaluate, softmax_cross_entropy_grad
 
 
 def tiny_config(num_classes=4, attention=True):
@@ -286,6 +288,56 @@ class TestForward:
             c = block.out_channels
             if block.pool:
                 h, w = h // 2, w // 2
+
+    @pytest.mark.parametrize(
+        "run, alive_expected",
+        [
+            (lambda model, x: forward_cached(model, x, ForwardMode.eval()), [0, 1, 2]),
+            (lambda model, x: forward_cached(model, x, ForwardMode.eval(), False), [0, 0, 0]),
+            (lambda model, x: forward(model, x), [0, 0, 0]),
+            (
+                lambda model, x: evaluate(
+                    model, Dataset(tuple(Sample(f"s{i}", img, 0) for i, img in enumerate(x)),
+                                   tuple(f"c{k}" for k in range(5))),
+                ),
+                [0, 0, 0],
+            ),
+        ],
+        ids=["taped", "untaped", "forward", "evaluate"],
+    )
+    def test_untaped_pass_frees_each_cache_before_the_next_step(
+        self, monkeypatch, run, alive_expected
+    ):
+        # Counts the ReLU outputs still alive as each conv starts.  A pooled
+        # block's ReLU output is held only by that block's pool cache, so it
+        # outlives its step only while a tape keeps the cache.
+        relu_outputs, alive = [], []
+        original_relu, original_conv = model_module.relu_forward, model_module.conv2d_forward
+
+        def recording_relu(x):
+            y, cache = original_relu(x)
+            relu_outputs.append(weakref.ref(y))
+            return y, cache
+
+        def counting_conv(x, p):
+            alive.append(sum(ref() is not None for ref in relu_outputs))
+            return original_conv(x, p)
+
+        monkeypatch.setattr(model_module, "relu_forward", recording_relu)
+        monkeypatch.setattr(model_module, "conv2d_forward", counting_conv)
+        config = desk_config(5)
+        h, w, c = config.input_size
+        x = np.random.default_rng(8).random((4, c, h, w)).astype(np.float32)
+        run(build_model(config, seed=0), x)
+        assert alive == alive_expected
+
+    def test_untaped_pass_returns_no_tape_and_the_same_bits(self):
+        model = build_model(tiny_config(), seed=0)
+        x = np.random.default_rng(9).random((3, 3, 16, 16)).astype(np.float32)
+        taped, tape = forward_cached(model, x, ForwardMode.eval())
+        untaped, none = forward_cached(model, x, ForwardMode.eval(), False)
+        assert len(tape) == 10 and none is None
+        assert untaped.tobytes() == taped.tobytes()
 
     def test_backward_emits_grad_per_live_param(self):
         model = build_model(tiny_config(num_classes=4), seed=0)

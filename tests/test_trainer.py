@@ -7,11 +7,14 @@ import attnens.trainer as trainer_module
 from attnens.data import Dataset, Sample
 from attnens.errors import ConfigError, NumericError
 from attnens.imageops import AugmentConfig
+from attnens.layers import ForwardMode
 from attnens.model import (
     AttentionConfig,
     ConvBlockConfig,
     ModelConfig,
     build_model,
+    desk_config,
+    forward_cached,
 )
 from attnens.trainer import (
     HISTORY_COLUMNS,
@@ -264,6 +267,20 @@ class TestEvaluate:
         ds = toy_dataset(n_per_class=3, size=20)  # 9 samples, resized to 16x16
         evaluate(build_model(tiny_model_config(), seed=0), ds, batch_size=4)
         assert events == (["resize"] * 4 + ["forward"]) * 2 + ["resize", "forward"]
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_probabilities_match_taped_forward(self, attention):
+        # evaluate keeps no tape; its probabilities must be the taped pass's bits.
+        model = build_model(desk_config(3, attention=attention), seed=0)
+        ds = toy_dataset(n_per_class=3, size=48)  # 9 samples: batches of 4, 4 and 1
+        _, matrix = evaluate(model, ds, batch_size=4)
+        images = np.stack([s.image for s in ds.samples])
+        taped = [
+            forward_cached(model, images[start : start + 4], ForwardMode.eval())[0]
+            for start in range(0, len(ds), 4)
+        ]
+        assert matrix.probs.tobytes() == np.concatenate(taped).astype(np.float64).tobytes()
+
 
 class TestHistorySerialization:
     def rows(self):
