@@ -175,8 +175,11 @@ def load_checkpoint(path) -> Checkpoint:
                 f"layer {planned.name!r}: weights shape {weights.shape} does not "
                 f"match config shape {planned.weight_shape}"
             )
-        if bias.ndim != 1:
-            raise CheckpointError(f"layer {planned.name!r}: bias must be rank 1")
+        if bias.shape != planned.bias_shape:
+            raise CheckpointError(
+                f"layer {planned.name!r}: bias shape {bias.shape} does not "
+                f"match config shape {planned.bias_shape}"
+            )
         params.append(LayerParams(planned.name, weights, bias))
     if blobs:
         raise CheckpointError(f"unexpected extra records {sorted(blobs)}")

@@ -8,19 +8,22 @@ no input array is ever mutated.
 
 Convolution is cross-correlation (no kernel flip) at stride 1 with ``same``
 padding, the one conv the network runs: the output keeps the input's size,
-and an odd leftover pixel of padding goes to the bottom/right edge.  A conv
-cache holds the padded input, not the kh*kw times larger im2col patch
-matrix: conv2d_forward drops that matrix after its product, and
-conv2d_backward rebuilds it from the padded input.  ``input_grad=False``
-skips the input gradient; the model's bottom conv uses it, since nothing
-reads the image's gradient.  The input gradient is scattered with one long
-slice-add per kernel offset on the unpadded plane (_col2im_same); one that
-holds a NaN is redone on the padded grid and cropped (_col2im), so that
-the sign and payload of a NaN do not depend on where NumPy's add loop
-splits rows.  Max pooling uses a fixed 2x2 window with stride 2; ties
-resolve to the first element in row-major scan order, and the backward
-pass copies the gradient's bit patterns as unsigned integers, so a routed
-``-0.0`` or NaN keeps its bits and every other input gets ``+0.0``.
+and an odd leftover pixel of padding goes to the bottom/right edge.  No
+padded copy of the input is ever made: the im2col patch matrix is gathered
+straight from the unpadded input with one long slice copy per kernel
+offset (_im2col_same), and the input gradient is scattered back with one
+long slice-add per offset (_col2im_same); both take their offsets from
+_same_shifts.  A conv cache holds a reference to the input itself, not the
+kh*kw times larger patch matrix: conv2d_forward drops that matrix after
+its product, and conv2d_backward rebuilds it.  ``input_grad=False`` skips
+the input gradient; the model's bottom conv uses it, since nothing reads
+the image's gradient.  An input gradient that holds a NaN is redone on the
+padded grid and cropped (_col2im), so that the sign and payload of a NaN
+do not depend on where NumPy's add loop splits rows.  Max pooling uses a
+fixed 2x2 window with stride 2; ties resolve to the first element in
+row-major scan order, and the backward pass copies the gradient's bit
+patterns as unsigned integers, so a routed ``-0.0`` or NaN keeps its bits
+and every other input gets ``+0.0``.
 """
 
 from __future__ import annotations
@@ -108,41 +111,121 @@ def _col2im(cols: np.ndarray, padded_shape, kh: int, kw: int) -> np.ndarray:
     return out.transpose(1, 0, 2, 3)
 
 
-def _col2im_same(cols: np.ndarray, x_shape, kh: int, kw: int, pt: int, pl: int) -> np.ndarray:
+def _same_shifts(h: int, w: int, kh: int, kw: int):
+    """The kernel offsets of a stride-1 ``same`` conv as shifts of a flat plane.
+
+    The output has the input's size, so patch ``(i, j)`` meets the flattened
+    H*W plane at the constant offset ``off = (i - pt) * W + (j - pl)``:
+    patch position ``q`` pairs with plane position ``q + off``.  Positions
+    ``lo:hi`` of the patch fall inside the plane; the rest lie in the top or
+    bottom padding.  In a kernel column left (right) of the centre, the
+    first (last) columns of each patch row have their true partner in the
+    left (right) padding, but ``q + off`` wraps them onto a neighbouring
+    row; ``wrap`` is the slice of those columns, or None in the centre
+    column.  Yields ``(i, j, off, lo, hi, wrap)`` in row-major kernel order;
+    _im2col_same gathers and _col2im_same scatters with exactly these
+    numbers.
+    """
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    hw = h * w
+    for i in range(kh):
+        for j in range(kw):
+            off = (i - pt) * w + (j - pl)
+            lo, hi = min(max(0, -off), hw), max(0, min(hw, hw - off))
+            if j < pl:
+                wrap = slice(0, min(pl - j, w))
+            elif j > pl:
+                wrap = slice(max(w + pl - j, 0), w)
+            else:
+                wrap = None
+            yield i, j, off, lo, hi, wrap
+
+
+# _im2col_same gathers the channels in groups whose input planes total at
+# most this many bytes (at least one channel), so that a group's planes stay
+# in the core's cache while its kh*kw row blocks are written: at evaluate()'s
+# batch of 64, 1 channel at a time at 48x48, 3 at 24x24 and 14 at 12x12.
+# Any group size gives the same bits.
+_GATHER_BYTES = 1 << 19
+
+
+def _im2col_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The ``same``-padded patch matrix of [N,C,H,W], built without padding ``x``.
+
+    Returns the (C*kh*kw, N*H*W) matrix that ``_im2col(np.pad(x, ...))``
+    returns, with the same bits, shape and strides.  Row block ``(c, i, j)``
+    is one long slice copy from the (C, N, H*W) view of ``x`` (of a
+    channel-major copy, if ``x`` has no contiguous planes) at offset
+    ``off`` (_same_shifts); its head, tail and wrapped columns, whose
+    source is padding, are set to ``+0.0`` as np.pad would.  The blocks are
+    written a group of channels at a time (_GATHER_BYTES).  When a kernel
+    or input side is 1, the padded gather can return a strided view of the
+    padded copy instead of a C-contiguous matrix, and matmul then adds in a
+    different order; for those shapes, which the configs never run, the
+    matrix still comes from the padded gather so that every bit is kept.
+    """
+    n, c, h, w = x.shape
+    if min(kh, kw, h, w) == 1:
+        pt, pl = (kh - 1) // 2, (kw - 1) // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
+        return _im2col(xp, kh, kw)
+    cols = np.empty((c, kh, kw, n, h * w), dtype=x.dtype)
+    planes = x.transpose(1, 0, 2, 3)
+    if x.strides[2:] != (w * x.itemsize, x.itemsize):
+        # A batch stored channels-last, as images are, has no contiguous
+        # planes; one channel-major copy makes every slice copy below read
+        # whole rows instead of every c-th value.  It is made after ``cols``
+        # is allocated: made before, it raised the peak RSS of a 64-image
+        # predict by 11 MB, through where the allocator placed the two.
+        planes = np.ascontiguousarray(planes)
+    src = planes.reshape(c, n, h * w)
+    shifts = list(_same_shifts(h, w, kh, kw))
+    group = max(1, _GATHER_BYTES // (n * h * w * x.itemsize))
+    for c0 in range(0, c, group):
+        part, rows = src[c0 : c0 + group], cols[c0 : c0 + group]
+        for i, j, off, lo, hi, wrap in shifts:
+            block = rows[:, i, j]
+            block[:, :, :lo] = 0
+            block[:, :, lo:hi] = part[:, :, lo + off : hi + off]
+            block[:, :, hi:] = 0
+            if wrap is not None:
+                block.reshape(-1, n, h, w)[..., wrap] = 0
+    return cols.reshape(c * kh * kw, n * h * w)
+
+
+def _col2im_same(cols: np.ndarray, x_shape, kh: int, kw: int) -> np.ndarray:
     """Scatter-add a patch matrix straight onto the unpadded input.
 
-    The output has the input's size, so patch ``(i, j)`` lands on the
-    flattened (C, N, H*W) plane at the constant offset
-    ``(i - pt) * W + (j - pl)`` and each of the kh*kw adds is one long
-    slice-add.  Rows above or below the plane fall outside the slice.  Patch
-    columns whose true target is the left or right padding would wrap onto a
-    neighbouring row, so they are first set to ``+0.0`` in ``cols`` (which is
-    overwritten; _col2im would add them to the padding it crops).  That
-    keeps every bit of _col2im's cropped result except the sign and payload
-    of a NaN: each sum starts at ``+0.0`` and, under round-to-nearest, a sum
-    that starts there is never ``-0.0``, so adding ``+0.0`` to it changes
-    nothing, and inf is unchanged by it too.  The adds keep _col2im's order,
-    and the result is an NCHW view of the channel-major buffer.
+    Each of the kh*kw adds is one long slice-add on the flattened (C, N, H*W)
+    plane at the offset _same_shifts gives; positions outside ``lo:hi`` fall
+    in the top or bottom padding and are skipped.  The wrapped columns would
+    land on a neighbouring row, so they are first set to ``+0.0`` in
+    ``cols`` (which is overwritten; _col2im would add them to the padding it
+    crops).  That keeps every bit of _col2im's cropped result except the
+    sign and payload of a NaN: each sum starts at ``+0.0`` and, under
+    round-to-nearest, a sum that starts there is never ``-0.0``, so adding
+    ``+0.0`` to it changes nothing, and inf is unchanged by it too.  The adds
+    keep _col2im's order, and the result is an NCHW view of the
+    channel-major buffer.
     """
     n, c, h, w = x_shape
     hw = h * w
     patches = cols.reshape(c, kh, kw, n, h, w)
-    for j in range(kw):
-        patches[:, :, j, :, :, : min(max(pl - j, 0), w)] = 0
-        patches[:, :, j, :, :, max(w + pl - j, 0) :] = 0
     flat = patches.reshape(c, kh, kw, n, hw)
     out = np.zeros((c, n, hw), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            off = (i - pt) * w + (j - pl)
-            lo, hi = max(0, -off), min(hw, hw - off)
-            if lo < hi:
-                out[:, :, lo + off : hi + off] += flat[:, i, j, :, lo:hi]
+    for i, j, off, lo, hi, wrap in _same_shifts(h, w, kh, kw):
+        if wrap is not None:
+            patches[:, i, j, :, :, wrap] = 0
+        if lo < hi:
+            out[:, :, lo + off : hi + off] += flat[:, i, j, :, lo:hi]
     return out.reshape(c, n, h, w).transpose(1, 0, 2, 3)
 
 
 def conv2d_forward(x: np.ndarray, p: LayerParams):
-    """Stride-1 ``same`` cross-correlation of [N,C_in,H,W] with [C_out,C_in,kh,kw] kernels."""
+    """Stride-1 ``same`` cross-correlation of [N,C_in,H,W] with [C_out,C_in,kh,kw] kernels.
+
+    The cache is ``(x, p)``: a reference to the input itself, no copy.
+    """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got shape {x.shape}")
     if p.weights.ndim != 4:
@@ -158,44 +241,43 @@ def conv2d_forward(x: np.ndarray, p: LayerParams):
         raise ShapeError(f"dtype mismatch: input {x.dtype} vs weights {p.weights.dtype}")
 
     n, _, h, w = x.shape
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
-    y = p.weights.reshape(c_out, c_in * kh * kw) @ _im2col(xp, kh, kw)
+    y = p.weights.reshape(c_out, c_in * kh * kw) @ _im2col_same(x, kh, kw)
     y += p.bias[:, None]
     y = y.reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
-    return y, (xp, (pt, pl), p)
+    return y, (x, p)
 
 
 def conv2d_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
     """Gradients of conv2d_forward w.r.t. input, weights, and bias.
 
-    The patch matrix is rebuilt from the cached padded input.  With
+    The patch matrix is rebuilt from the cached input.  With
     ``input_grad=False`` the input gradient is not computed and comes back
     as None; the weight and bias gradients are the same either way.  The
     input gradient is an NCHW view of a channel-major buffer.
     """
-    xp, (pt, pl), p = cache
-    n, c_in, hp, wp = xp.shape
+    x, p = cache
+    n, c_in, h, w = x.shape
     c_out, _, kh, kw = p.weights.shape
-    h, w = hp - kh + 1, wp - kw + 1
     if grad_y.shape != (n, c_out, h, w):
         raise ShapeError(
             f"grad shape {grad_y.shape} != forward output shape {(n, c_out, h, w)}"
         )
     g = grad_y.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
     grad_b = g.sum(axis=1)
-    grad_w = (g @ _im2col(xp, kh, kw).T).reshape(p.weights.shape)
+    grad_w = (g @ _im2col_same(x, kh, kw).T).reshape(p.weights.shape)
     if not input_grad:
         return None, grad_w, grad_b
     grad_cols = p.weights.reshape(c_out, -1).T @ g
-    grad_x = _col2im_same(grad_cols, (n, c_in, h, w), kh, kw, pt, pl)
+    grad_x = _col2im_same(grad_cols, x.shape, kh, kw)
     # Which of two NaNs a sum keeps depends on where NumPy's add loop meets
     # it, and _col2im_same's long rows split differently from the padded
     # grid's short ones; any other value has the same bits either way.  So a
     # NaN result is redone on the padded grid, where the zeroed columns land
     # only in the cropped padding.
     if np.isnan(grad_x).any():
-        grad_x = _col2im(grad_cols, xp.shape, kh, kw)[:, :, pt : pt + h, pl : pl + w]
+        pt, pl = (kh - 1) // 2, (kw - 1) // 2
+        padded_shape = (n, c_in, h + kh - 1, w + kw - 1)
+        grad_x = _col2im(grad_cols, padded_shape, kh, kw)[:, :, pt : pt + h, pl : pl + w]
     return grad_x, grad_w, grad_b
 
 

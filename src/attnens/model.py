@@ -12,7 +12,7 @@ cache) tape entry; ``backward`` walks the tape in reverse through the same
 table, except that the bottom conv computes weight gradients only.  A pass
 that no backward will follow (``forward``, ``trainer.evaluate``) keeps no
 tape: each step's cache is dropped as soon as the step returns, so the ReLU
-outputs and padded conv inputs it holds are freed during the pass.  A pooled
+outputs and pooled maps it holds are freed during the pass.  A pooled
 block's ReLU and pool form one ``relu_maxpool`` step: its backward applies
 the ReLU mask ``y > 0`` of the pooled output ``y`` to the quarter-size
 upstream gradient and then routes it through the pool, which gives the bits
@@ -193,6 +193,12 @@ class _PlannedLayer(NamedTuple):
     init: str  # he | xavier
     backbone: bool
 
+    @property
+    def bias_shape(self) -> tuple[int]:
+        """One bias per output channel of a conv, per output unit of a dense layer."""
+        shape = self.weight_shape
+        return (shape[0] if len(shape) == 4 else shape[1],)
+
 
 def _steps(config: ModelConfig):
     """The network in forward order, as (kind, parameter layers) steps."""
@@ -227,16 +233,15 @@ def _init_layer(planned: _PlannedLayer, rng: np.random.Generator) -> LayerParams
     shape = planned.weight_shape
     if len(shape) == 4:
         out, inp, kh, kw = shape
-        fan_in, fan_out, bias_len = inp * kh * kw, out * kh * kw, out
+        fan_in, fan_out = inp * kh * kw, out * kh * kw
     else:
         fan_in, fan_out = shape
-        bias_len = fan_out
     if planned.init == "he":
         limit = np.sqrt(6.0 / fan_in)
     else:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
     weights = rng.uniform(-limit, limit, size=shape).astype(np.float32)
-    return LayerParams(planned.name, weights, np.zeros(bias_len, dtype=np.float32))
+    return LayerParams(planned.name, weights, np.zeros(planned.bias_shape, dtype=np.float32))
 
 
 def build_model(config: ModelConfig, seed: int) -> Model:

@@ -14,6 +14,7 @@ from attnens.checkpoint import (
     save_model,
 )
 from attnens.errors import CheckpointError, ConfigError, UnsupportedVersionError
+from attnens.layers import LayerParams
 from attnens.model import (
     FREEZE_BACKBONE,
     build_model,
@@ -175,4 +176,19 @@ class TestCorruption:
         dims_at = at + 4 + name_len + 4
         p.write_bytes(raw[:dims_at] + struct.pack("<I", 0xFFFFFFFF) + raw[dims_at + 4 :])
         with pytest.raises(CheckpointError, match="only"):
+            load_checkpoint(str(p))
+
+    @pytest.mark.parametrize("layer", ["conv2", "logits"])
+    def test_bias_length_off_the_plan(self, model, tmp_path, layer):
+        # One bias entry too many, for a conv and for a dense layer: the
+        # record is rank 1 and well formed, but the config plans one bias per
+        # output channel or unit.
+        params = tuple(
+            LayerParams(p.name, p.weights, np.append(p.bias, np.float32(0)))
+            if p.name == layer else p
+            for p in model.params
+        )
+        p = tmp_path / "m.aens"
+        save_bytes(model.with_params(params), p)
+        with pytest.raises(CheckpointError, match=f"layer '{layer}': bias shape"):
             load_checkpoint(str(p))

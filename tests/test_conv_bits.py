@@ -1,16 +1,20 @@
 """The conv layer matches its patch-matrix-caching form bit for bit.
 
-conv2d_forward keeps the padded input instead of the im2col patch matrix and
+conv2d_forward keeps its input instead of the im2col patch matrix and
 conv2d_backward rebuilds that matrix; outputs and gradients must keep every
 bit of the form in reference.py, for either memory layout of the upstream
-gradient and with or without the input gradient.
+gradient and with or without the input gradient.  The matrix itself, built
+without a padded copy, must equal the gather from the padded input.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attnens.layers import LayerParams, conv2d_backward, conv2d_forward
+from attnens import layers
+from attnens.layers import LayerParams, _im2col, _im2col_same, conv2d_backward, conv2d_forward
 from reference import conv2d_backward_cols, conv2d_forward_cols
 
 
@@ -86,3 +90,45 @@ def test_conv_matches_patch_matrix_form(
         assert gx is None
         assert_same_bits(gw, want[1])
         assert_same_bits(gb, want[2])
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    n=st.integers(1, 4),
+    c=st.integers(1, 5),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    kh=st.integers(1, 5),
+    kw=st.integers(1, 5),
+    layout=st.sampled_from(["nchw", "channel_major", "channels_last"]),
+    gather_bytes=st.sampled_from([1, 300, 1000, layers._GATHER_BYTES]),
+)
+def test_patch_builder_matches_padded_gather(
+    seed, dtype, n, c, h, w, kh, kw, layout, gather_bytes
+):
+    # _im2col_same never pads x, but must return the very matrix the gather
+    # from the padded copy returns: bits (signed zeros, infs and NaNs
+    # included), shape, dtype and memory layout, which decides the order in
+    # which matmul adds.  Small gather budgets split the channels into
+    # groups, as the default does at full batch size.  A channels-last
+    # batch is how evaluate() stacks its images.
+    rng = np.random.default_rng(seed)
+    order = {"nchw": (0, 1, 2, 3), "channel_major": (1, 0, 2, 3), "channels_last": (0, 2, 3, 1)}
+    stored = tuple((n, c, h, w)[k] for k in order[layout])
+    x = (rng.standard_normal(stored) * 2.0).astype(dtype)
+    special = rng.random(stored) < 0.3
+    x[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    x = x.transpose(np.argsort(order[layout]))
+    assert x.shape == (n, c, h, w)
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
+    with mock.patch.object(layers, "_GATHER_BYTES", gather_bytes):
+        got = _im2col_same(x, kh, kw)
+    want = _im2col(xp, kh, kw)
+    assert_same_bits(got, want)
+    assert got.flags.c_contiguous == want.flags.c_contiguous

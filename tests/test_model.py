@@ -289,6 +289,28 @@ class TestForward:
             if block.pool:
                 h, w = h // 2, w // 2
 
+    def test_conv_caches_hold_their_input_itself(self, monkeypatch):
+        # At evaluate()'s batch of 64, each conv step caches a reference to
+        # the array it received, not a padded copy, and no larger array.
+        received = []
+        original = model_module.conv2d_forward
+
+        def recording(x, p):
+            received.append(x)
+            return original(x, p)
+
+        monkeypatch.setattr(model_module, "conv2d_forward", recording)
+        config = desk_config(5)
+        h, w, c = config.input_size
+        x = np.random.default_rng(6).random((64, c, h, w)).astype(np.float32)
+        _, tape = forward_cached(build_model(config, seed=0), x, ForwardMode.eval())
+        caches = [cache for kind, _, cache in tape if kind == "conv"]
+        assert len(caches) == len(received) == len(config.backbone)
+        for cache, step_input in zip(caches, received):
+            arrays = [a for a in cache if isinstance(a, np.ndarray)]
+            assert any(a is step_input for a in arrays)
+            assert max(a.nbytes for a in arrays) <= step_input.nbytes
+
     @pytest.mark.parametrize(
         "run, alive_expected",
         [
