@@ -15,15 +15,16 @@ offset (_im2col_same), and the input gradient is scattered back with one
 long slice-add per offset (_col2im_same); both take their offsets from
 _same_shifts.  A conv cache holds a reference to the input itself, not the
 kh*kw times larger patch matrix: conv2d_forward drops that matrix after
-its product, and conv2d_backward rebuilds it.  ``input_grad=False`` skips
-the input gradient; the model's bottom conv uses it, since nothing reads
-the image's gradient.  An input gradient that holds a NaN is redone on the
-padded grid and cropped (_col2im), so that the sign and payload of a NaN
-do not depend on where NumPy's add loop splits rows.  Max pooling uses a
-fixed 2x2 window with stride 2; ties resolve to the first element in
-row-major scan order, and the backward pass copies the gradient's bit
-patterns as unsigned integers, so a routed ``-0.0`` or NaN keeps its bits
-and every other input gets ``+0.0``.
+its product, and conv2d_backward rebuilds it.  ``input_grad=False`` makes
+conv2d_backward and dense_backward skip the input gradient; the model's
+backward passes it to the lowest step that holds a trainable layer, since
+nothing reads the gradient below that step.  An input gradient that holds
+a NaN is redone on the padded grid and cropped (_col2im), so that the sign
+and payload of a NaN do not depend on where NumPy's add loop splits rows.
+Max pooling uses a fixed 2x2 window with stride 2; ties resolve to the
+first element in row-major scan order, and the backward pass copies the
+gradient's bit patterns as unsigned integers, so a routed ``-0.0`` or NaN
+keeps its bits and every other input gets ``+0.0``.
 """
 
 from __future__ import annotations
@@ -294,11 +295,16 @@ def dense_forward(x: np.ndarray, p: LayerParams):
     return y, (x, p)
 
 
-def dense_backward(cache, grad_y: np.ndarray):
+def dense_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
+    """Gradients of dense_forward w.r.t. input, weights, and bias.
+
+    With ``input_grad=False`` the input gradient is not computed and comes
+    back as None; the weight and bias gradients are the same either way.
+    """
     x, p = cache
     if grad_y.shape != (x.shape[0], p.weights.shape[1]):
         raise ShapeError(f"grad shape {grad_y.shape} does not match dense output")
-    grad_x = grad_y @ p.weights.T
+    grad_x = grad_y @ p.weights.T if input_grad else None
     # The transpose of grad_y.T @ x, which is the gradient of a 1x1 kernel
     # stored [U, D] as the attention block stores its kernels: that block
     # gets the product it needs, NaN operand order included.

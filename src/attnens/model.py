@@ -9,7 +9,11 @@ then a logits layer feeding softmax).
 steps.  The parameter plan is its flattened layers; ``forward_cached`` runs
 each step through the ``_KINDS`` table and records a (kind, layer names,
 cache) tape entry; ``backward`` walks the tape in reverse through the same
-table, except that the bottom conv computes weight gradients only.  A pass
+table.  The walk stops at the lowest step that holds a layer not in
+``model.frozen`` (a live layer), and that step skips its input gradient,
+since nothing reads it: with nothing frozen this is the bottom conv, which
+computes weight gradients only, and a frozen-backbone finetune runs only
+the head's backward.  Only live layers' gradients are returned.  A pass
 that no backward will follow (``forward``, ``trainer.evaluate``) keeps no
 tape: each step's cache is dropped as soon as the step returns, so the ReLU
 outputs and pooled maps it holds are freed during the pass.  A pooled
@@ -261,9 +265,10 @@ def _attention_forward(x, reduce, expand):
     return y, cache
 
 
-def _attention_backward(cache, grad):
+def _attention_backward(cache, grad, input_grad=True):
+    # ca_backward always forms the input gradient; one nothing reads is dropped.
     grad, g = ca_backward(cache, grad)
-    return grad, (g["reduce"], g["expand"])
+    return (grad if input_grad else None), (g["reduce"], g["expand"])
 
 
 def _relu_maxpool_forward(x):
@@ -282,20 +287,24 @@ def _relu_maxpool_backward(cache, grad):
 
 # Step kind -> (forward, backward).  forward(x, *args) returns (y, cache);
 # backward(cache, grad) returns the input grad and one (weight, bias) grad
-# pair per parameter layer of the step.  The entries name the layer functions
-# inside their bodies, so they resolve through this module's attributes at
-# call time and a wrapper installed on ``attnens.model.<function>`` sees
-# every call.
+# pair per parameter layer of the step.  The backward of a step with
+# parameters also takes ``input_grad=False``, which returns None for the
+# input grad.  The entries name the layer functions inside their bodies, so
+# they resolve through this module's attributes at call time and a wrapper
+# installed on ``attnens.model.<function>`` sees every call.
 _KINDS = {
     "conv": (
         lambda x, p: conv2d_forward(x, p),
-        lambda c, g: _weight_grads(conv2d_backward(c, g)),
+        lambda c, g, input_grad=True: _weight_grads(conv2d_backward(c, g, input_grad=input_grad)),
     ),
     "relu": (lambda x: relu_forward(x), lambda c, g: (relu_backward(c, g), ())),
     "relu_maxpool": (_relu_maxpool_forward, _relu_maxpool_backward),
     "attention": (_attention_forward, _attention_backward),
     "gap": (lambda x: gap_forward(x), lambda c, g: (gap_backward(c, g), ())),
-    "dense": (lambda x, p: dense_forward(x, p), lambda c, g: _weight_grads(dense_backward(c, g))),
+    "dense": (
+        lambda x, p: dense_forward(x, p),
+        lambda c, g, input_grad=True: _weight_grads(dense_backward(c, g, input_grad=input_grad)),
+    ),
     "dropout": (
         lambda x, rate, mode: dropout_forward(x, rate, mode),
         lambda c, g: (dropout_backward(c, g), ()),
@@ -355,19 +364,33 @@ def forward(model: Model, batch: np.ndarray, mode: ForwardMode | None = None) ->
 
 
 def backward(model: Model, tape, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Walk the tape in reverse, returning '<layer>.weight'/'<layer>.bias' grads."""
+    """Walk the tape in reverse, returning the live layers' gradients.
+
+    A layer is live when it is not in ``model.frozen``; the result maps
+    '<layer>.weight'/'<layer>.bias' to a gradient for each live layer and
+    for no other.  The walk stops at the lowest step that holds a live
+    layer, and that step skips its input gradient, since nothing reads it.
+    Frozen layers above that step are walked for the input gradient they
+    pass down.  With nothing frozen the lowest such step is the bottom conv;
+    with every layer frozen nothing is walked and the result is empty.  A
+    returned gradient has the same bits as in a walk of the whole tape.
+    """
+    stop = next(
+        (depth for depth, (_, names, _) in enumerate(tape) if not model.frozen.issuperset(names)),
+        len(tape),
+    )
     grads: dict[str, np.ndarray] = {}
     grad = grad_logits
-    for depth in reversed(range(len(tape))):
+    for depth in reversed(range(stop, len(tape))):
         kind, names, cache = tape[depth]
-        if depth == 0 and kind == "conv":
-            # Nothing reads the image's gradient, so the bottom conv skips it.
-            grad, pairs = _weight_grads(conv2d_backward(cache, grad, input_grad=False))
+        if depth == stop:
+            grad, pairs = _KINDS[kind][1](cache, grad, input_grad=False)
         else:
             grad, pairs = _KINDS[kind][1](cache, grad)
         for name, (gw, gb) in zip(names, pairs):
-            grads[f"{name}.weight"] = gw
-            grads[f"{name}.bias"] = gb
+            if name not in model.frozen:
+                grads[f"{name}.weight"] = gw
+                grads[f"{name}.bias"] = gb
     return grads
 
 

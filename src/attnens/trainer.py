@@ -93,8 +93,10 @@ def sgd_momentum_step(
 ):
     """One momentum update: v' = m*v - lr*g; w' = w + v'.
 
-    All three dicts must share keys; frozen parameters are excluded by the
-    caller.  Returns (new_params, new_velocity) without mutating inputs.
+    All three dicts must share keys, else ShapeError: the trainer passes the
+    live (non-frozen) parameters and ``model.backward``'s result, which holds
+    the live gradients only.  Returns (new_params, new_velocity) without
+    mutating inputs.
     """
     if set(params) != set(grads) or set(params) != set(velocity):
         raise ShapeError("params, grads, and velocity must share the same keys")
@@ -151,8 +153,7 @@ def _live_arrays(model: Model) -> dict[str, np.ndarray]:
 
 def _sgd_update(model: Model, grads, velocity, cfg: TrainConfig) -> tuple[Model, dict]:
     """Apply one momentum step to the non-frozen layers; returns (model, velocity)."""
-    live = _live_arrays(model)
-    stepped, velocity = sgd_momentum_step(live, {k: grads[k] for k in live}, velocity, cfg)
+    stepped, velocity = sgd_momentum_step(_live_arrays(model), grads, velocity, cfg)
     params = tuple(
         p if p.name in model.frozen
         else LayerParams(p.name, stepped[f"{p.name}.weight"], stepped[f"{p.name}.bias"])

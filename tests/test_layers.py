@@ -107,6 +107,32 @@ class TestDense:
         np.testing.assert_allclose(gw, x.T @ g, rtol=1e-12)
         np.testing.assert_allclose(gb, g.sum(axis=0), rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("transposed_weights", [False, True])
+    def test_backward_without_input_grad_keeps_weight_and_bias_bits(
+        self, dtype, transposed_weights
+    ):
+        # transposed_weights: the attention block's dense weights are
+        # transposed views of its stored kernels.
+        rng = np.random.default_rng(5)
+        for n, d, u in [(1, 1, 1), (5, 4, 3), (8, 64, 16), (3, 7, 9)]:
+            x = (rng.standard_normal((n, d)) * 2.0).astype(dtype)
+            if transposed_weights:
+                w = (rng.standard_normal((u, d)) * 2.0).astype(dtype).T
+            else:
+                w = (rng.standard_normal((d, u)) * 2.0).astype(dtype)
+            b = rng.standard_normal(u).astype(dtype)
+            g = (rng.standard_normal((n, u)) * 2.0).astype(dtype)
+            x.flat[0], g.flat[-1] = -0.0, np.nan
+            _, cache = dense_forward(x, LayerParams(name="fc", weights=w, bias=b))
+            with np.errstate(invalid="ignore"):
+                gx, gw, gb = dense_backward(cache, g)
+                none, gw_only, gb_only = dense_backward(cache, g, input_grad=False)
+            assert gx is not None and none is None
+            for got, want in ((gw_only, gw), (gb_only, gb)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
 
 class TestActivations:
     def test_relu_values(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -371,6 +372,51 @@ class TestForward:
             f"{n}.bias" for n in model.param_names()
         }
         assert set(grads) == expected
+
+    def test_frozen_backbone_backward_runs_only_the_head(self, monkeypatch):
+        # The walk stops at fc1, the lowest live layer, which skips its input
+        # gradient; no trunk step below it runs its backward.
+        calls = []
+        for fn in ("conv2d_backward", "maxpool2d_backward", "ca_backward", "gap_backward"):
+            original = getattr(model_module, fn)
+
+            def counting(*args, _fn=fn, _original=original, **kwargs):
+                calls.append(_fn)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(model_module, fn, counting)
+        original_dense = model_module.dense_backward
+
+        def recording_dense(cache, grad, input_grad=True):
+            calls.append(("dense_backward", cache[1].name, input_grad))
+            return original_dense(cache, grad, input_grad=input_grad)
+
+        monkeypatch.setattr(model_module, "dense_backward", recording_dense)
+        src = build_model(tiny_config(num_classes=4), seed=0)
+        model = transfer(src, head=(16,), num_classes=4, policy=FREEZE_BACKBONE, seed=1)
+        x = np.random.default_rng(4).random((2, 3, 16, 16)).astype(np.float32)
+        probs, tape = forward_cached(model, x, ForwardMode.train(0))
+        onehot = np.eye(4, dtype=np.float32)[[0, 2]]
+        grads = backward(model, tape, softmax_cross_entropy_grad(onehot, probs))
+        assert calls == [("dense_backward", "logits", True), ("dense_backward", "fc1", False)]
+        assert set(grads) == {"fc1.weight", "fc1.bias", "logits.weight", "logits.bias"}
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_every_frozen_subset_returns_the_live_grads_bit_for_bit(self, attention):
+        model = build_model(tiny_config(num_classes=4, attention=attention), seed=0)
+        x = np.random.default_rng(8).random((3, 3, 16, 16)).astype(np.float32)
+        probs, tape = forward_cached(model, x, ForwardMode.train(0))
+        grad_logits = softmax_cross_entropy_grad(np.eye(4, dtype=np.float32)[[0, 2, 3]], probs)
+        whole = backward(model, tape, grad_logits)
+        names = model.param_names()
+        for mask in range(2 ** len(names)):
+            frozen = frozenset(n for i, n in enumerate(names) if mask >> i & 1)
+            grads = backward(replace(model, frozen=frozen), tape, grad_logits)
+            live = {f"{n}.{part}" for n in names if n not in frozen for part in ("weight", "bias")}
+            assert set(grads) == live, sorted(frozen)
+            for key, g in grads.items():
+                assert (g.dtype, g.shape) == (whole[key].dtype, whole[key].shape)
+                assert g.tobytes() == whole[key].tobytes(), (sorted(frozen), key)
 
 
 class TestTransfer:

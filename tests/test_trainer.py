@@ -1,20 +1,25 @@
 """Loss, optimizer, and training-loop behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import attnens.model as model_module
 import attnens.trainer as trainer_module
 from attnens.data import Dataset, Sample
-from attnens.errors import ConfigError, NumericError
+from attnens.errors import ConfigError, NumericError, ShapeError
 from attnens.imageops import AugmentConfig
 from attnens.layers import ForwardMode
 from attnens.model import (
+    FREEZE_BACKBONE,
     AttentionConfig,
     ConvBlockConfig,
     ModelConfig,
     build_model,
     desk_config,
     forward_cached,
+    transfer,
 )
 from attnens.trainer import (
     HISTORY_COLUMNS,
@@ -155,6 +160,15 @@ class TestSgdMomentum:
         with pytest.raises(Exception):
             sgd_momentum_step({"a": np.zeros(2)}, {"b": np.zeros(2)}, {"a": np.zeros(2)}, cfg)
 
+    @pytest.mark.parametrize(
+        "grads", [{}, {"a": np.zeros(2), "b": np.zeros(2)}], ids=["missing", "extra"]
+    )
+    def test_gradient_keys_off_the_params_are_shape_error(self, grads):
+        # The trainer hands backward's dict over as it is; this check is what
+        # holds backward to returning exactly the live gradients.
+        with pytest.raises(ShapeError, match="same keys"):
+            sgd_momentum_step({"a": np.zeros(2)}, grads, {"a": np.zeros(2)}, quick_cfg())
+
 
 class TestEpochPermutation:
     def test_is_permutation(self):
@@ -213,6 +227,63 @@ class TestTrainLoop:
                 trained.param(name).weights, dst.param(name).weights
             )
         assert not np.array_equal(trained.param("logits").weights, dst.param("logits").weights)
+
+    @pytest.mark.parametrize("head", [(12,), ()], ids=["fc1", "no_hidden_layer"])
+    def test_freeze_finetune_matches_a_whole_tape_walk(self, monkeypatch, head):
+        # The reference walks every step, as if nothing were frozen, and keeps
+        # the live keys: the trained bits must not depend on where the walk stops.
+        ds = toy_dataset()
+        src = build_model(tiny_model_config(), seed=3)
+        dst = transfer(src, head=head, num_classes=3, policy=FREEZE_BACKBONE, seed=4)
+        dense_calls = []
+        original_dense = model_module.dense_backward
+
+        def recording_dense(cache, grad, input_grad=True):
+            dense_calls.append((cache[1].name, input_grad))
+            return original_dense(cache, grad, input_grad=input_grad)
+
+        monkeypatch.setattr(model_module, "dense_backward", recording_dense)
+        stopped, stopped_hist = train(dst, ds, ds, quick_cfg(epochs=2))
+        assert dense_calls and set(dense_calls) == (
+            {("logits", True), ("fc1", False)} if head else {("logits", False)}
+        )
+        assert dense_calls[-1] == ("fc1" if head else "logits", False)
+
+        def whole_tape(model, tape, grad_logits):
+            grads = model_module.backward(replace(model, frozen=frozenset()), tape, grad_logits)
+            return {
+                key: g for key, g in grads.items() if key.rsplit(".", 1)[0] not in model.frozen
+            }
+
+        monkeypatch.setattr(trainer_module, "backward", whole_tape)
+        walked, walked_hist = train(dst, ds, ds, quick_cfg(epochs=2))
+        for a, b in zip(stopped.params, walked.params):
+            assert a.name == b.name
+            assert a.weights.tobytes() == b.weights.tobytes(), a.name
+            assert a.bias.tobytes() == b.bias.tobytes(), a.name
+        assert [(h.train_loss, h.train_acc, h.test_acc) for h in stopped_hist] == [
+            (h.train_loss, h.train_acc, h.test_acc) for h in walked_hist
+        ]
+        assert not np.array_equal(stopped.param("logits").weights, dst.param("logits").weights)
+
+    def test_every_layer_frozen_trains_nothing(self, monkeypatch):
+        ds = toy_dataset()
+        model = build_model(tiny_model_config(), seed=5)
+        model = replace(model, frozen=frozenset(model.param_names()))
+        returned = []
+        original = trainer_module.backward
+
+        def recording(*args):
+            returned.append(original(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(trainer_module, "backward", recording)
+        trained, hist = train(model, ds, ds, quick_cfg(epochs=2))
+        assert len(hist) == 2
+        assert len(returned) == 2 * 3 and all(g == {} for g in returned)
+        for a, b in zip(trained.params, model.params):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
 
     def test_class_name_mismatch_rejected(self):
         ds = toy_dataset()
