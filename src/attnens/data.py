@@ -79,8 +79,12 @@ class Dataset:
 
 
 def image_from_uint8(pixels: np.ndarray) -> np.ndarray:
-    """Convert [H, W, 3] uint8 pixels to a [3, H, W] float32 tensor in [0, 1]."""
-    return (pixels.astype(np.float32) / np.float32(255.0)).transpose(2, 0, 1)
+    """Convert [H, W, 3] uint8 pixels to a C-contiguous [3, H, W] float32 tensor in [0, 1].
+
+    Stored channel-major, so every plane is contiguous and a stacked batch
+    is NCHW in memory, as the convs and augmentation read it.
+    """
+    return pixels.transpose(2, 0, 1).astype(np.float32, order="C") / np.float32(255.0)
 
 
 def _parse_bbox(row: dict, row_num: int):

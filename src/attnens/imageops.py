@@ -67,8 +67,9 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     one = image.dtype.type(1)
     x0, x1, wx = _edge_taps(w, out_w, image.dtype)
     y0, y1, wy = _edge_taps(h, out_h, image.dtype)
-    rows = (one - wx) * image[:, :, x0] + wx * image[:, :, x1]
-    return (one - wy)[:, None] * rows[:, y0] + wy[:, None] * rows[:, y1]
+    # take, not fancy indexing, which would return a channels-last result.
+    rows = (one - wx) * image.take(x0, axis=2) + wx * image.take(x1, axis=2)
+    return (one - wy)[:, None] * rows.take(y0, axis=1) + wy[:, None] * rows.take(y1, axis=1)
 
 
 def hflip(image: np.ndarray) -> np.ndarray:

@@ -145,7 +145,7 @@ def _same_shifts(h: int, w: int, kh: int, kw: int):
 # _im2col_same gathers the channels in groups whose input planes total at
 # most this many bytes (at least one channel), so that a group's planes stay
 # in the core's cache while its kh*kw row blocks are written: at evaluate()'s
-# batch of 64, 1 channel at a time at 48x48, 3 at 24x24 and 14 at 12x12.
+# batch of 16, 3 channels at a time at 48x48, 14 at 24x24 and 56 at 12x12.
 # Any group size gives the same bits.
 _GATHER_BYTES = 1 << 19
 
@@ -173,11 +173,13 @@ def _im2col_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     cols = np.empty((c, kh, kw, n, h * w), dtype=x.dtype)
     planes = x.transpose(1, 0, 2, 3)
     if x.strides[2:] != (w * x.itemsize, x.itemsize):
-        # A batch stored channels-last, as images are, has no contiguous
-        # planes; one channel-major copy makes every slice copy below read
-        # whole rows instead of every c-th value.  It is made after ``cols``
-        # is allocated: made before, it raised the peak RSS of a 64-image
-        # predict by 11 MB, through where the allocator placed the two.
+        # A batch stored channels-last (images are loaded and resized
+        # channel-major, but a caller may pass any strides) has no
+        # contiguous planes; one channel-major copy makes every slice copy
+        # below read whole rows instead of every c-th value.  It is made
+        # after ``cols`` is allocated: made before, it raised the peak RSS
+        # of a predict at a batch of 64 by 11 MB, through where the
+        # allocator placed the two.
         planes = np.ascontiguousarray(planes)
     src = planes.reshape(c, n, h * w)
     shifts = list(_same_shifts(h, w, kh, kw))

@@ -238,13 +238,17 @@ def train(
 def evaluate(
     model: Model,
     dataset: Dataset,
-    batch_size: int = 64,
+    batch_size: int = 16,
     model_name: str = "model",
 ) -> tuple[float, PredictionMatrix]:
     """Eval-mode accuracy plus the full prediction matrix, in dataset order.
 
     The forward pass keeps no tape: each step's cache is dropped as soon as
-    the step returns.  The probabilities are the taped pass's bits.
+    the step returns.  The probabilities are the taped pass's bits.  The
+    default batch of 16 bounds the working set: at a ``desk_config`` 48x48
+    input the bottom conv's patch matrix is 4 MB, against 16 MB at a batch
+    of 64.  Whether an image's probability bits depend on the batch size is
+    up to the BLAS kernels (README, "Memory").
     """
     _check_class_space(model, dataset, "eval")
     if len(dataset) == 0:

@@ -116,7 +116,7 @@ def test_patch_builder_matches_padded_gather(
     # included), shape, dtype and memory layout, which decides the order in
     # which matmul adds.  Small gather budgets split the channels into
     # groups, as the default does at full batch size.  A channels-last
-    # batch is how evaluate() stacks its images.
+    # batch is what stacking transposed views of [H, W, C] images gives.
     rng = np.random.default_rng(seed)
     order = {"nchw": (0, 1, 2, 3), "channel_major": (1, 0, 2, 3), "channels_last": (0, 2, 3, 1)}
     stored = tuple((n, c, h, w)[k] for k in order[layout])

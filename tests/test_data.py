@@ -25,7 +25,7 @@ from attnens.imageops import (
 import attnens.ppm as ppm_module
 from attnens.ppm import read_ppm, write_ppm
 from attnens.synth import SynthSpec, class_recipe, synth_dataset, write_synth_dataset
-from reference import resize_bilinear_naive
+from reference import augment_gather, resize_bilinear_gather, resize_bilinear_naive
 
 
 def count_ppm_reads(monkeypatch):
@@ -289,6 +289,43 @@ class TestSamplesAndCrop:
         assert img.shape == (3, 4, 5)
         assert img.dtype == np.float32
         np.testing.assert_allclose(img[:, 0, 0], [1.0, 0.0, 127 / 255.0])
+
+    @staticmethod
+    def channels_last_image(pixels):
+        # The same values as a [3, H, W] view of [H, W, 3] storage.
+        return (pixels.astype(np.float32) / np.float32(255.0)).transpose(2, 0, 1)
+
+    @pytest.mark.parametrize("kind", ["every_byte", "random"])
+    def test_image_from_uint8_is_channel_major_with_the_same_bits(self, kind):
+        if kind == "every_byte":
+            pixels = np.arange(256 * 3, dtype=np.uint16).reshape(16, 16, 3).astype(np.uint8)
+        else:
+            pixels = np.random.default_rng(11).integers(0, 256, (37, 29, 3), dtype=np.uint8)
+        img = image_from_uint8(pixels)
+        assert img.flags.c_contiguous
+        old = self.channels_last_image(pixels)
+        assert img.dtype == old.dtype and img.shape == old.shape
+        assert img.tobytes() == old.tobytes()
+
+    def test_channel_major_images_resize_augment_and_crop_with_the_same_bits(self):
+        # Loaded images changed layout, not values: resize, augmentation and
+        # --crop give the bits of the old channels-last view and of the
+        # four-corner gather oracles, and resizing keeps the planes contiguous.
+        pixels = np.random.default_rng(12).integers(0, 256, (40, 52, 3), dtype=np.uint8)
+        new, old = image_from_uint8(pixels), self.channels_last_image(pixels)
+        for out_h, out_w in [(48, 48), (16, 24), (40, 52)]:
+            got = resize_bilinear(new, out_h, out_w)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == resize_bilinear(old, out_h, out_w).tobytes()
+            assert got.tobytes() == resize_bilinear_gather(old, out_h, out_w).tobytes()
+        for draw in [AugmentDraw(17.5, True, 0.1, -0.2), AugmentDraw(-90.0, False, 0.0, 0.3)]:
+            got = augment(new, AugmentConfig(), seed=0, draw=draw)
+            assert got.tobytes() == augment(old, AugmentConfig(), seed=0, draw=draw).tobytes()
+            want = augment_gather(old, draw.angle_deg, draw.flip, draw.shift_x_frac, draw.shift_y_frac)
+            assert got.tobytes() == want.tobytes()
+        bbox = (5, 3, 33, 29)
+        got, want = (crop_bbox(Sample(id="s", image=im, label=0, bbox=bbox)).image for im in (new, old))
+        assert got.tobytes() == want.tobytes()
 
     def test_dataset_rejects_duplicate_ids(self):
         s = self.make_sample(None)

@@ -270,7 +270,7 @@ class TestForward:
         assert calls == [(2, config.head[0])]
 
     def test_conv_caches_hold_no_patch_matrix(self):
-        # At evaluate()'s batch of 64, no array a conv step keeps on the tape
+        # At a batch of 64, no array a conv step keeps on the tape
         # may be larger than its padded input; the im2col patch matrix is
         # kernel*kernel times that.
         config = desk_config(5)
@@ -291,7 +291,7 @@ class TestForward:
                 h, w = h // 2, w // 2
 
     def test_conv_caches_hold_their_input_itself(self, monkeypatch):
-        # At evaluate()'s batch of 64, each conv step caches a reference to
+        # At a batch of 64, each conv step caches a reference to
         # the array it received, not a padded copy, and no larger array.
         received = []
         original = model_module.conv2d_forward

@@ -1,5 +1,6 @@
 """Loss, optimizer, and training-loop behavior."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -317,6 +318,20 @@ class TestEvaluate:
         _, m2 = evaluate(model, ds, batch_size=64)
         np.testing.assert_allclose(m1.probs, m2.probs, rtol=1e-6)
 
+    def test_default_batch_keeps_the_working_set_small(self):
+        # tracemalloc sees NumPy's buffers.  Over 66 desk_config images at
+        # 48x48, the default batch's forward pass (the bottom conv's patch
+        # matrix, its output and the ReLU output) peaks at about 7.2 MiB; a
+        # batch of 64 peaks at about 28.7 MiB.
+        model = build_model(desk_config(3), seed=0)
+        ds = toy_dataset(n_per_class=22, size=48)
+        tracemalloc.start()
+        try:
+            evaluate(model, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_resizes_one_batch_at_a_time(self, monkeypatch):
         # Each batch is resized just before its forward pass, so no more than
