@@ -100,8 +100,20 @@ def _load_json(path) -> dict:
     return loaded
 
 
-def _parse_run_config(raw: dict, context: str):
-    reject_unknown_keys(raw, {"seed", "data_dir", "out_dir", "model", "train"}, context)
+def _parse_run_config(raw: dict, context: str, restated: dict):
+    """Validate a run config; returns (seed, data_dir, out_dir, model, train).
+
+    ``restated`` maps the keys a ``resolved_config.json`` snapshot adds
+    (``command``, and finetune's ``from`` and ``policy``) to this run's
+    values.  A config may hold those keys only with those values, so a
+    snapshot replays as the run that wrote it and no other.
+    """
+    reject_unknown_keys(
+        raw, {"seed", "data_dir", "out_dir", "model", "train", *restated}, context
+    )
+    for key, value in restated.items():
+        if key in raw and raw[key] != value:
+            raise ConfigError(f"{context}: {key} is {raw[key]!r}, this run's is {value!r}")
     for key in ("data_dir", "out_dir", "model"):
         if key not in raw:
             raise ConfigError(f"{context}: missing required key {key!r}")
@@ -116,18 +128,15 @@ def _parse_run_config(raw: dict, context: str):
     return seed, raw["data_dir"], raw["out_dir"], model_config, train_config
 
 
-def _resolved_run_config(command, seed, data_dir, out_dir, model_config, train_config, extra=None):
-    resolved = {
-        "command": command,
+def _resolved_run_config(restated, seed, data_dir, out_dir, model_config, train_config):
+    return {
+        **restated,
         "seed": seed,
         "data_dir": str(data_dir),
         "out_dir": str(out_dir),
         "model": config_to_dict(model_config),
         "train": train_config_to_dict(train_config),
     }
-    if extra:
-        resolved.update(extra)
-    return resolved
 
 
 def _ensure_parent(path) -> None:
@@ -169,23 +178,25 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    restated = {"command": "pretrain"}
     seed, data_dir, out_dir, model_config, train_config = _parse_run_config(
-        _load_json(args.config), "pretrain config"
+        _load_json(args.config), "pretrain config", restated
     )
     train_set = load_dataset(data_dir, "train")
     test_set = load_dataset(data_dir, "test")
     model = build_model(model_config, seed)
     model, history = train(model, train_set, test_set, train_config)
     resolved = _resolved_run_config(
-        "pretrain", seed, data_dir, out_dir, model_config, train_config
+        restated, seed, data_dir, out_dir, model_config, train_config
     )
     _finish_training(model, history, out_dir, resolved)
     return 0
 
 
 def cmd_finetune(args) -> int:
+    restated = {"command": "finetune", "from": args.source, "policy": args.policy}
     seed, data_dir, out_dir, model_config, train_config = _parse_run_config(
-        _load_json(args.config), "finetune config"
+        _load_json(args.config), "finetune config", restated
     )
     source = load_checkpoint(args.source)
     if model_config.backbone != source.config.backbone:
@@ -210,13 +221,7 @@ def cmd_finetune(args) -> int:
     test_set = load_dataset(data_dir, "test")
     model, history = train(model, train_set, test_set, train_config)
     resolved = _resolved_run_config(
-        "finetune",
-        seed,
-        data_dir,
-        out_dir,
-        model_config,
-        train_config,
-        extra={"from": str(args.source), "policy": args.policy},
+        restated, seed, data_dir, out_dir, model_config, train_config
     )
     _finish_training(model, history, out_dir, resolved)
     return 0

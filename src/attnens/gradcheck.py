@@ -28,19 +28,6 @@ TOLERANCE = 1e-4
 DEFAULT_H = 1e-5
 KINK_MARGIN = 1e-3
 
-AUDIT_NAMES = (
-    "conv2d",
-    "dense",
-    "relu",
-    "sigmoid",
-    "gap",
-    "dropout",
-    "maxpool",
-    "channel_attention",
-    "softmax_cross_entropy",
-)
-
-
 def numeric_gradient(f, x: np.ndarray, h: float = DEFAULT_H) -> np.ndarray:
     """Central-difference gradient of scalar f at x, one coordinate at a time."""
     if x.dtype != np.float64:
@@ -220,6 +207,7 @@ _CHECKS = {
     "channel_attention": _check_channel_attention,
     "softmax_cross_entropy": _check_softmax_cross_entropy,
 }
+AUDIT_NAMES = tuple(_CHECKS)
 
 
 def audit_gradients(seed: int = 0, corrupt: str | None = None) -> list[AuditRow]:
@@ -231,9 +219,8 @@ def audit_gradients(seed: int = 0, corrupt: str | None = None) -> list[AuditRow]
     if corrupt is not None and corrupt not in _CHECKS:
         raise ConfigError(f"corrupt must be one of {sorted(_CHECKS)}, got {corrupt!r}")
     rows = []
-    for name in AUDIT_NAMES:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, AUDIT_NAMES.index(name)]))
-        err = _CHECKS[name](rng)
+    for index, (name, check) in enumerate(_CHECKS.items()):
+        err = check(np.random.default_rng(np.random.SeedSequence([seed, index])))
         if corrupt == name:
             err = max(err, 1.0) * 100.0
         rows.append(AuditRow(name=name, max_rel_err=err))

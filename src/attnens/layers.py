@@ -8,19 +8,23 @@ no input array is ever mutated.
 
 Convolution is cross-correlation (no kernel flip) at stride 1 with ``same``
 padding, the one conv the network runs: the output keeps the input's size,
-and an odd leftover pixel of padding goes to the bottom/right edge.  No
-padded copy of the input is ever made: the im2col patch matrix is gathered
-straight from the unpadded input with one long slice copy per kernel
-offset (_im2col_same), and the input gradient is scattered back with one
-long slice-add per offset (_col2im_same); both take their offsets from
-_same_shifts.  A conv cache holds a reference to the input itself, not the
-kh*kw times larger patch matrix: conv2d_forward drops that matrix after
-its product, and conv2d_backward rebuilds it.  ``input_grad=False`` makes
+and an odd leftover pixel of padding goes to the bottom/right edge.  The
+im2col patch matrix is gathered straight from the unpadded input with one
+long slice copy per kernel offset (_im2col_same), and the input gradient
+is scattered back with one long slice-add per offset (_col2im_same); both
+take their offsets from _same_shifts.  A conv cache holds a reference to
+the input itself, not the kh*kw times larger patch matrix: conv2d_forward
+drops that matrix after its product, and conv2d_backward rebuilds it.  The
+output and the weight and bias gradients keep every bit of the padded-grid
+form (pad the input, gather, multiply, scatter-add onto the padded grid,
+crop); the input gradient keeps every finite value, infinity, signed zero
+and NaN position of it, while the sign and payload of a NaN there are
+unspecified.  No NaN gradient reaches a model's parameters: softmax_forward
+raises on non-finite logits before backward runs, and the SGD step on a
+non-finite gradient before any update.  ``input_grad=False`` makes
 conv2d_backward and dense_backward skip the input gradient; the model's
 backward passes it to the lowest step that holds a trainable layer, since
-nothing reads the gradient below that step.  An input gradient that holds
-a NaN is redone on the padded grid and cropped (_col2im), so that the sign
-and payload of a NaN do not depend on where NumPy's add loop splits rows.
+nothing reads the gradient below that step.
 Max pooling uses a fixed 2x2 window with stride 2; ties resolve to the
 first element in row-major scan order, and the backward pass copies the
 gradient's bit patterns as unsigned integers, so a routed ``-0.0`` or NaN
@@ -95,23 +99,6 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * ho * wo)
 
 
-def _col2im(cols: np.ndarray, padded_shape, kh: int, kw: int) -> np.ndarray:
-    """Scatter-add a patch matrix back onto the padded [N,C,H,W] input grid.
-
-    The sums build up in a channel-major (C, N, H, W) buffer, so each of the
-    kh*kw slice-adds reads its rows of ``cols`` in place; the result is an
-    NCHW view of that buffer.
-    """
-    n, c, h, w = padded_shape
-    ho, wo = h - kh + 1, w - kw + 1
-    patches = cols.reshape(c, kh, kw, n, ho, wo)
-    out = np.zeros((c, n, h, w), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i : i + ho, j : j + wo] += patches[:, i, j]
-    return out.transpose(1, 0, 2, 3)
-
-
 def _same_shifts(h: int, w: int, kh: int, kw: int):
     """The kernel offsets of a stride-1 ``same`` conv as shifts of a flat plane.
 
@@ -155,9 +142,10 @@ def _im2col_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
     Returns the (C*kh*kw, N*H*W) matrix that ``_im2col(np.pad(x, ...))``
     returns, with the same bits, shape and strides.  Row block ``(c, i, j)``
-    is one long slice copy from the (C, N, H*W) view of ``x`` (of a
-    channel-major copy, if ``x`` has no contiguous planes) at offset
-    ``off`` (_same_shifts); its head, tail and wrapped columns, whose
+    is one long slice copy from the (C, N, H*W) reshape of ``x`` at offset
+    ``off`` (_same_shifts); it reads whole rows when ``x`` has contiguous
+    H*W planes, as NCHW and channel-major batches do, and every c-th value
+    of a channels-last batch.  Its head, tail and wrapped columns, whose
     source is padding, are set to ``+0.0`` as np.pad would.  The blocks are
     written a group of channels at a time (_GATHER_BYTES).  When a kernel
     or input side is 1, the padded gather can return a strided view of the
@@ -171,17 +159,7 @@ def _im2col_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
         xp = np.pad(x, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
         return _im2col(xp, kh, kw)
     cols = np.empty((c, kh, kw, n, h * w), dtype=x.dtype)
-    planes = x.transpose(1, 0, 2, 3)
-    if x.strides[2:] != (w * x.itemsize, x.itemsize):
-        # A batch stored channels-last (images are loaded and resized
-        # channel-major, but a caller may pass any strides) has no
-        # contiguous planes; one channel-major copy makes every slice copy
-        # below read whole rows instead of every c-th value.  It is made
-        # after ``cols`` is allocated: made before, it raised the peak RSS
-        # of a predict at a batch of 64 by 11 MB, through where the
-        # allocator placed the two.
-        planes = np.ascontiguousarray(planes)
-    src = planes.reshape(c, n, h * w)
+    src = x.transpose(1, 0, 2, 3).reshape(c, n, h * w)
     shifts = list(_same_shifts(h, w, kh, kw))
     group = max(1, _GATHER_BYTES // (n * h * w * x.itemsize))
     for c0 in range(0, c, group):
@@ -203,13 +181,14 @@ def _col2im_same(cols: np.ndarray, x_shape, kh: int, kw: int) -> np.ndarray:
     plane at the offset _same_shifts gives; positions outside ``lo:hi`` fall
     in the top or bottom padding and are skipped.  The wrapped columns would
     land on a neighbouring row, so they are first set to ``+0.0`` in
-    ``cols`` (which is overwritten; _col2im would add them to the padding it
-    crops).  That keeps every bit of _col2im's cropped result except the
-    sign and payload of a NaN: each sum starts at ``+0.0`` and, under
-    round-to-nearest, a sum that starts there is never ``-0.0``, so adding
-    ``+0.0`` to it changes nothing, and inf is unchanged by it too.  The adds
-    keep _col2im's order, and the result is an NCHW view of the
-    channel-major buffer.
+    ``cols``, which is overwritten.  The result keeps every finite value,
+    infinity, signed zero and NaN position of a scatter-add onto the padded
+    grid that is then cropped: the adds run in the same kernel order, and
+    adding ``+0.0`` changes no sum, since each sum starts at ``+0.0`` and
+    under round-to-nearest a sum that starts there is never ``-0.0``.  Which
+    of two NaNs a sum keeps depends on where NumPy's add loop splits rows,
+    so the sign and payload of a NaN are unspecified.  The result is an NCHW
+    view of the channel-major buffer.
     """
     n, c, h, w = x_shape
     hw = h * w
@@ -259,7 +238,7 @@ def conv2d_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
     input gradient is an NCHW view of a channel-major buffer.
     """
     x, p = cache
-    n, c_in, h, w = x.shape
+    n, _, h, w = x.shape
     c_out, _, kh, kw = p.weights.shape
     if grad_y.shape != (n, c_out, h, w):
         raise ShapeError(
@@ -272,15 +251,6 @@ def conv2d_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
         return None, grad_w, grad_b
     grad_cols = p.weights.reshape(c_out, -1).T @ g
     grad_x = _col2im_same(grad_cols, x.shape, kh, kw)
-    # Which of two NaNs a sum keeps depends on where NumPy's add loop meets
-    # it, and _col2im_same's long rows split differently from the padded
-    # grid's short ones; any other value has the same bits either way.  So a
-    # NaN result is redone on the padded grid, where the zeroed columns land
-    # only in the cropped padding.
-    if np.isnan(grad_x).any():
-        pt, pl = (kh - 1) // 2, (kw - 1) // 2
-        padded_shape = (n, c_in, h + kh - 1, w + kw - 1)
-        grad_x = _col2im(grad_cols, padded_shape, kh, kw)[:, :, pt : pt + h, pl : pl + w]
     return grad_x, grad_w, grad_b
 
 
@@ -300,6 +270,12 @@ def dense_forward(x: np.ndarray, p: LayerParams):
 def dense_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
     """Gradients of dense_forward w.r.t. input, weights, and bias.
 
+    The weight gradient is formed in the memory order of the weights:
+    ``(grad_y.T @ x).T`` for the attention block's transposed views of
+    [U, D] kernels (Fortran-ordered), which is the gradient of the kernel
+    itself, NaN operand order included; ``x.T @ grad_y`` otherwise.  Some
+    BLAS kernel sets (OpenBLAS's Haswell kernels, for one) give the two
+    products different last bits, so neither stands in for the other.
     With ``input_grad=False`` the input gradient is not computed and comes
     back as None; the weight and bias gradients are the same either way.
     """
@@ -307,10 +283,7 @@ def dense_backward(cache, grad_y: np.ndarray, input_grad: bool = True):
     if grad_y.shape != (x.shape[0], p.weights.shape[1]):
         raise ShapeError(f"grad shape {grad_y.shape} does not match dense output")
     grad_x = grad_y @ p.weights.T if input_grad else None
-    # The transpose of grad_y.T @ x, which is the gradient of a 1x1 kernel
-    # stored [U, D] as the attention block stores its kernels: that block
-    # gets the product it needs, NaN operand order included.
-    grad_w = (grad_y.T @ x).T
+    grad_w = (grad_y.T @ x).T if p.weights.flags.f_contiguous else x.T @ grad_y
     grad_b = grad_y.sum(axis=0)
     return grad_x, grad_w, grad_b
 

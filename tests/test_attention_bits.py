@@ -2,11 +2,12 @@
 
 ca_forward and ca_backward call gap, dense, relu and sigmoid from layers.py;
 their outputs and all gradients must equal, byte for byte, the form in
-reference.py that writes those steps inline.  dense_backward forms its
-weight gradient as ``(g.T @ x).T``, so the block's kernel gradients are the
-inline form's ``g.T @ x`` products themselves.  The head's dense layers then
-rest on the BLAS giving ``(g.T @ x).T`` the bits of ``x.T @ g`` for finite
-float32 values, which the second test guards.
+reference.py that writes those steps inline.  dense_backward forms the
+weight gradient of the block's Fortran-ordered weight views as
+``(g.T @ x).T``, so the block's kernel gradients are the inline form's
+``g.T @ x`` products themselves.  The head's C-ordered weights get
+``x.T @ g``, the plain product, which the second test guards for finite
+float32 values.
 """
 
 import numpy as np

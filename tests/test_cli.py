@@ -117,6 +117,53 @@ class TestTrainingRuns:
         assert resolved["model"]["num_classes"] == 3
         assert resolved["train"]["epochs"] == TRAIN["epochs"]
 
+    def test_pretrain_snapshot_replays_to_the_same_bytes(self, pipeline, tmp_path):
+        out_dir = tmp_path / "pretrained"
+        cfg = write_json(tmp_path / "pretrain.json",
+                         {"seed": 1, "data_dir": pipeline["source_data"],
+                          "out_dir": str(out_dir), "model": MODEL, "train": TRAIN})
+        assert main(["pretrain", "--config", cfg]) == 0
+        checkpoint, snapshot = out_dir / "checkpoint.aens", out_dir / "resolved_config.json"
+        first = checkpoint.read_bytes(), snapshot.read_bytes()
+        assert main(["pretrain", "--config", str(snapshot)]) == 0
+        assert (checkpoint.read_bytes(), snapshot.read_bytes()) == first
+
+    @pytest.mark.parametrize("policy", ["freeze", "all"])
+    def test_finetune_snapshot_replays_to_the_same_bytes(self, pipeline, tmp_path, policy):
+        out_dir = tmp_path / "finetuned"
+        cfg = write_json(tmp_path / "finetune.json",
+                         {"seed": 2, "data_dir": pipeline["target_data"],
+                          "out_dir": str(out_dir), "model": MODEL, "train": TRAIN})
+        source = ["--from", pipeline["source_ckpt"], "--policy", policy]
+        assert main(["finetune", "--config", cfg, *source]) == 0
+        checkpoint, snapshot = out_dir / "checkpoint.aens", out_dir / "resolved_config.json"
+        first = checkpoint.read_bytes(), snapshot.read_bytes()
+        assert json.loads(first[1])["policy"] == policy
+        assert main(["finetune", "--config", str(snapshot), *source]) == 0
+        assert (checkpoint.read_bytes(), snapshot.read_bytes()) == first
+
+    @pytest.mark.parametrize("command,restated,key", [
+        ("pretrain", {"command": "finetune"}, "command"),
+        ("pretrain", {"policy": "freeze"}, "policy"),
+        ("finetune", {"command": "pretrain"}, "command"),
+        ("finetune", {"from": "/elsewhere/checkpoint.aens"}, "from"),
+        ("finetune", {"policy": "all"}, "policy"),
+    ])
+    def test_snapshot_of_another_run_exits_2(self, pipeline, capsys, tmp_path,
+                                             command, restated, key):
+        out_dir = tmp_path / "out"
+        data = pipeline["source_data" if command == "pretrain" else "target_data"]
+        cfg = write_json(tmp_path / "snapshot.json",
+                         {"seed": 1, "data_dir": data, "out_dir": str(out_dir),
+                          "model": MODEL, "train": TRAIN, **restated})
+        argv = [command, "--config", cfg]
+        if command == "finetune":
+            argv += ["--from", pipeline["source_ckpt"], "--policy", "freeze"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not out_dir.exists()
+
     def test_freeze_policy_preserves_backbone_bytes(self, pipeline):
         source = {p.name: p for p in load_checkpoint(pipeline["source_ckpt"]).params}
         frozen = load_checkpoint(pipeline["runs"]["frozen"])
