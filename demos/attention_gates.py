@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from attnens.data import float_image
 from attnens.model import ForwardMode, Model, build_model, desk_config, forward, forward_cached
 from attnens.synth import SynthSpec, synth_dataset
 
@@ -23,7 +24,7 @@ def gates_for(model, batch):
 def main():
     spec = SynthSpec(num_classes=4, per_class=4, image_size=48, seed=2)
     data = synth_dataset(spec, "train")
-    batch = np.stack([s.image for s in data.samples[:8]])
+    batch = np.stack([float_image(s.image) for s in data.samples[:8]])
 
     model = build_model(desk_config(4), seed=0)
     gates = gates_for(model, batch)

@@ -6,6 +6,12 @@ bounding boxes (pixel coordinates, max-exclusive).  Class indices are
 assigned by sorting the class names that appear anywhere in the manifest, so
 train and test splits always share one label space.  Sample order follows
 manifest order.
+
+Loaded images keep the decoded bytes: a C-contiguous ``[3, H, W]`` uint8
+array, a quarter of the float32 form's memory.  ``float_image`` scales one
+to float32 in [0, 1] where a batch is built (``trainer.train`` and
+``trainer.evaluate``), with ``image_from_uint8``'s arithmetic, so every
+batch holds the same bits as if the float image had been stored.
 """
 
 from __future__ import annotations
@@ -26,7 +32,13 @@ SPLITS = ("train", "test")
 
 @dataclass(frozen=True)
 class Sample:
-    """One labeled image: [C, H, W] float32 in [0, 1], plus an optional bbox."""
+    """One labeled image plus an optional bbox.
+
+    ``image`` is [C, H, W]: uint8 pixels (as loaded, scaled by 1/255 when
+    batched) or a float array in [0, 1], which batches use unchanged.  Any
+    other dtype is refused, since its values would reach the network
+    unscaled.
+    """
 
     id: str
     image: np.ndarray
@@ -36,6 +48,10 @@ class Sample:
     def __post_init__(self):
         if self.image.ndim != 3:
             raise IngestError(f"sample {self.id!r}: image must be [C, H, W]")
+        if self.image.dtype != np.uint8 and not np.issubdtype(self.image.dtype, np.floating):
+            raise IngestError(
+                f"sample {self.id!r}: image dtype {self.image.dtype} is neither uint8 nor floating"
+            )
         if self.bbox is not None:
             x_min, y_min, x_max, y_max = self.bbox
             _, h, w = self.image.shape
@@ -78,13 +94,29 @@ class Dataset:
         return tuple(s.id for s in self.samples)
 
 
-def image_from_uint8(pixels: np.ndarray) -> np.ndarray:
-    """Convert [H, W, 3] uint8 pixels to a C-contiguous [3, H, W] float32 tensor in [0, 1].
+def channel_major(pixels: np.ndarray) -> np.ndarray:
+    """[H, W, 3] uint8 pixels as the stored C-contiguous [3, H, W] uint8 image.
 
-    Stored channel-major, so every plane is contiguous and a stacked batch
-    is NCHW in memory, as the convs and augmentation read it.
+    Channel-major, so every plane is contiguous and a stacked batch is NCHW
+    in memory, as the convs and augmentation read it.
     """
-    return pixels.transpose(2, 0, 1).astype(np.float32, order="C") / np.float32(255.0)
+    return np.ascontiguousarray(pixels.transpose(2, 0, 1))
+
+
+def float_image(image: np.ndarray) -> np.ndarray:
+    """A stored image as the network reads it: uint8 scaled to float32 in [0, 1].
+
+    A float image is returned unchanged.  The layout is kept, so a
+    C-contiguous [3, H, W] image gives a C-contiguous result.
+    """
+    if image.dtype != np.uint8:
+        return image
+    return image.astype(np.float32) / np.float32(255.0)
+
+
+def image_from_uint8(pixels: np.ndarray) -> np.ndarray:
+    """Convert [H, W, 3] uint8 pixels to a C-contiguous [3, H, W] float32 tensor in [0, 1]."""
+    return float_image(channel_major(pixels))
 
 
 def _parse_bbox(row: dict, row_num: int):
@@ -167,7 +199,7 @@ def load_dataset(root_dir, split: str | None = None) -> Dataset:
         try:
             sample = Sample(
                 id=sid,
-                image=image_from_uint8(pixels),
+                image=channel_major(pixels),
                 label=index_of[row["class_name"]],
                 bbox=bbox,
             )
@@ -199,7 +231,10 @@ def read_label_table(csv_path) -> tuple[dict[str, int], tuple[str, ...]]:
 
 
 def crop_bbox(sample: Sample) -> Sample:
-    """Crop a sample to its bounding box; the result carries no bbox."""
+    """Crop a sample to its bounding box; the result carries no bbox.
+
+    The crop keeps the image's dtype: a loaded image is cropped as uint8.
+    """
     if sample.bbox is None:
         raise MissingBboxError(f"sample {sample.id!r} has no bounding box")
     x_min, y_min, x_max, y_max = sample.bbox

@@ -1,6 +1,8 @@
 """Geometric image operations: bilinear resize, flips, and augmentation.
 
-Images are [C, H, W] float arrays with values in [0, 1].  Resampling uses
+Images are [C, H, W] float arrays with values in [0, 1]; resize and augment
+refuse an integer image, so a loaded uint8 image goes through
+``data.float_image`` first (the trainer does so).  Resampling uses
 half-pixel-center coordinates (resizing to the same size is the identity).
 Augmentation applies rotation, optional horizontal flip, and width/height
 shifts as one composed affine resample with bilinear interpolation and zero
@@ -43,6 +45,17 @@ def _sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nd
     return (one - wy) * top + wy * bottom
 
 
+def _check_float_image(image: np.ndarray) -> None:
+    # The interpolation weights take the image's dtype, so an integer image
+    # (a loaded uint8 one included) would resample with truncated weights.
+    if image.ndim != 3:
+        raise ShapeError(f"image must be [C, H, W], got shape {image.shape}")
+    if not np.issubdtype(image.dtype, np.floating):
+        raise ShapeError(
+            f"image must be floating, got {image.dtype} (data.float_image scales uint8 pixels)"
+        )
+
+
 def _edge_taps(size: int, out_size: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both source indices and the weight of the second, along one resized axis."""
     src = (np.arange(out_size, dtype=np.float64) + 0.5) * (size / out_size) - 0.5
@@ -57,8 +70,7 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     Separable: every source row is interpolated along x first, then the rows
     are mixed along y, which is the arithmetic of the four-corner form.
     """
-    if image.ndim != 3:
-        raise ShapeError(f"image must be [C, H, W], got shape {image.shape}")
+    _check_float_image(image)
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"output size must be >= 1, got {out_h}x{out_w}")
     _, h, w = image.shape
@@ -148,8 +160,7 @@ def augment(
     parameters directly (used to force specific transforms in tests).
     Output values are clamped to [0, 1].
     """
-    if image.ndim != 3:
-        raise ShapeError(f"image must be [C, H, W], got shape {image.shape}")
+    _check_float_image(image)
     if draw is None:
         draw = draw_augment_params(cfg, seed)
     if draw.is_identity():

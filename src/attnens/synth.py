@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write
-from .data import Dataset, Sample, image_from_uint8
+from .data import Dataset, Sample, channel_major
 from .errors import ConfigError, decode_config, encode_config
 from .ppm import write_ppm
 from .seeding import rng_for
@@ -157,7 +157,11 @@ def _generate(spec: SynthSpec):
 
 
 def synth_dataset(spec: SynthSpec, split: str | None = None) -> Dataset:
-    """Generate the task in memory; pass split='train'/'test' to filter."""
+    """Generate the task in memory; pass split='train'/'test' to filter.
+
+    Images are stored as ``load_dataset`` stores the written PPMs: uint8
+    ``[3, H, W]`` arrays (``data.float_image`` scales them).
+    """
     if split is not None and split not in ("train", "test"):
         raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
     names = tuple(sorted(class_name(spec.class_offset + k) for k in range(spec.num_classes)))
@@ -167,7 +171,7 @@ def synth_dataset(spec: SynthSpec, split: str | None = None) -> Dataset:
         if split is not None and row_split != split:
             continue
         samples.append(
-            Sample(id=sid, image=image_from_uint8(pixels), label=index_of[cname], bbox=bbox)
+            Sample(id=sid, image=channel_major(pixels), label=index_of[cname], bbox=bbox)
         )
     return Dataset(samples=tuple(samples), class_names=names, split=split)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_write
-from .data import Dataset
+from .data import Dataset, float_image
 from .ensemble import PredictionMatrix
 from .errors import ConfigError, NumericError, ShapeError, decode_config, encode_config
 from .imageops import AugmentConfig, augment, resize_bilinear
@@ -120,6 +120,11 @@ def epoch_permutation(shuffle_seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 def _resized_images(samples, input_size) -> list[np.ndarray]:
+    """Each sample's image at the model's input size.
+
+    An image already at that size is returned as stored (uint8 or float); a
+    resized one is float32, scaled by ``float_image`` before resampling.
+    """
     h, w, c = input_size
     images = []
     for s in samples:
@@ -130,7 +135,7 @@ def _resized_images(samples, input_size) -> list[np.ndarray]:
         if s.image.shape[1:] == (h, w):
             images.append(s.image)
         else:
-            images.append(resize_bilinear(s.image, h, w))
+            images.append(resize_bilinear(float_image(s.image), h, w))
     return images
 
 
@@ -174,7 +179,12 @@ def train(
     Each epoch shuffles by (shuffle_seed, epoch), augments every sample with
     a seed derived from (shuffle_seed, epoch, sample_id), and updates all
     non-frozen parameters after every batch.  epochs=0 returns the model
-    untouched with an empty history.
+    untouched with an empty history; otherwise an empty test set is refused
+    before the first step, since every epoch ends by evaluating it.
+
+    Images at the input size stay as stored, and a uint8 one is scaled to
+    float32 just before it is augmented; a mismatched split is resized once,
+    up front, because every epoch revisits it.
     """
     if train_set.class_names != test_set.class_names:
         raise ConfigError("train and test sets disagree on class names")
@@ -183,6 +193,8 @@ def train(
         raise ConfigError("training set is empty")
     if cfg.epochs == 0:
         return model, []
+    if len(test_set) == 0:
+        raise ConfigError("test set is empty")
 
     images = _resized_images(train_set.samples, model.config.input_size)
     labels = train_set.labels()
@@ -204,7 +216,7 @@ def train(
             batch = np.stack(
                 [
                     augment(
-                        images[i],
+                        float_image(images[i]),
                         cfg.augment,
                         derive_seed(cfg.shuffle_seed, epoch, train_set.samples[i].id),
                     )
@@ -253,12 +265,15 @@ def evaluate(
     _check_class_space(model, dataset, "eval")
     if len(dataset) == 0:
         raise ConfigError("evaluation set is empty")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     chunks = []
     for start in range(0, len(dataset), batch_size):
-        # Resize one batch at a time; train resizes up front because it
-        # revisits its images every epoch.
+        # Scale and resize one batch at a time; train resizes up front
+        # because it revisits its images every epoch.
         samples = dataset.samples[start : start + batch_size]
-        batch = np.stack(_resized_images(samples, model.config.input_size))
+        images = _resized_images(samples, model.config.input_size)
+        batch = np.stack([float_image(image) for image in images])
         batch = batch.astype(np.float32, copy=False)
         probs, _ = forward_cached(model, batch, ForwardMode.eval(), False)
         chunks.append(probs)

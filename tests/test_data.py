@@ -1,5 +1,7 @@
 """Dataset ingestion, PPM I/O, resizing, augmentation, and synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,12 @@ from attnens.data import (
     Dataset,
     Sample,
     crop_bbox,
+    float_image,
     image_from_uint8,
     load_dataset,
     read_label_table,
 )
-from attnens.errors import ConfigError, IngestError, ManifestError, MissingBboxError
+from attnens.errors import ConfigError, IngestError, ManifestError, MissingBboxError, ShapeError
 from attnens.imageops import (
     AugmentConfig,
     AugmentDraw,
@@ -262,6 +265,45 @@ class TestManifest:
             read_label_table(p)
 
 
+class TestUint8Storage:
+    def write_pixels(self, root, count, size, seed=0):
+        rng = np.random.default_rng(seed)
+        pixels = {}
+        rows = ["id,class_name,split"]
+        for i in range(count):
+            sid = f"s{i:03d}"
+            pixels[sid] = rng.integers(0, 256, (size, size, 3), dtype=np.uint8)
+            write_ppm(root / f"{sid}.ppm", pixels[sid])
+            rows.append(f"{sid},c{i % 4},train")
+        (root / "labels.csv").write_text("\n".join(rows) + "\n")
+        return pixels
+
+    def test_loaded_images_are_channel_major_uint8(self, tmp_path):
+        pixels = self.write_pixels(tmp_path, 5, 12)
+        for s in load_dataset(tmp_path).samples:
+            assert s.image.dtype == np.uint8 and s.image.flags.c_contiguous
+            assert s.image.shape == (3, 12, 12)
+            assert float_image(s.image).tobytes() == image_from_uint8(pixels[s.id]).tobytes()
+
+    def test_synth_images_are_channel_major_uint8(self):
+        ds = synth_dataset(SynthSpec(num_classes=2, per_class=2, image_size=16, seed=0))
+        for s in ds.samples:
+            assert s.image.dtype == np.uint8 and s.image.flags.c_contiguous
+            assert s.image.shape == (3, 16, 16)
+
+    def test_load_holds_about_one_byte_per_pixel(self, tmp_path):
+        # 64 images of 48x48x3 bytes; float32 storage held about 4x this.
+        self.write_pixels(tmp_path, 64, 48)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 64
+        assert peak <= 1.25 * 64 * 48 * 48 * 3
+
+
 class TestSamplesAndCrop:
     def make_sample(self, bbox):
         img = np.arange(3 * 6 * 8, dtype=np.float32).reshape(3, 6, 8) / 255.0
@@ -327,10 +369,43 @@ class TestSamplesAndCrop:
         got, want = (crop_bbox(Sample(id="s", image=im, label=0, bbox=bbox)).image for im in (new, old))
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.bool_, np.uint16])
+    def test_sample_refuses_images_that_are_neither_pixels_nor_floats(self, dtype):
+        # Only uint8 is scaled by 1/255 when batched; any other integer image
+        # would reach the network unscaled.
+        with pytest.raises(IngestError, match="'odd'.*dtype"):
+            Sample(id="odd", image=np.zeros((3, 4, 4), dtype=dtype), label=0)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    def test_sample_accepts_pixels_and_floats(self, dtype):
+        assert Sample(id="s", image=np.zeros((3, 4, 4), dtype=dtype), label=0).image.dtype == dtype
+
+    def test_float_image_scales_pixels_and_passes_floats_through(self):
+        pixels = np.random.default_rng(13).integers(0, 256, (21, 18, 3), dtype=np.uint8)
+        stored = np.ascontiguousarray(pixels.transpose(2, 0, 1))
+        img = float_image(stored)
+        assert img.dtype == np.float32 and img.flags.c_contiguous
+        assert img.tobytes() == self.channels_last_image(pixels).tobytes()
+        assert float_image(img) is img
+
     def test_dataset_rejects_duplicate_ids(self):
         s = self.make_sample(None)
         with pytest.raises(ManifestError):
             Dataset(samples=(s, s), class_names=("a",))
+
+
+@pytest.mark.parametrize(
+    "resample",
+    [lambda im: resize_bilinear(im, 4, 4), lambda im: augment(im, AugmentConfig(), seed=0)],
+    ids=["resize_bilinear", "augment"],
+)
+def test_resampling_refuses_integer_images(resample):
+    # Weights take the image's dtype, so uint8 pixels would resample with
+    # truncated weights; they must be scaled by float_image first.
+    pixels = np.full((3, 6, 6), 200, dtype=np.uint8)
+    with pytest.raises(ShapeError, match="floating"):
+        resample(pixels)
+    assert resample(float_image(pixels)).dtype == np.float32
 
 
 class TestResize:

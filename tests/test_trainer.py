@@ -8,7 +8,7 @@ import pytest
 
 import attnens.model as model_module
 import attnens.trainer as trainer_module
-from attnens.data import Dataset, Sample
+from attnens.data import Dataset, Sample, crop_bbox, image_from_uint8
 from attnens.errors import ConfigError, NumericError, ShapeError
 from attnens.imageops import AugmentConfig
 from attnens.layers import ForwardMode
@@ -37,6 +37,7 @@ from attnens.trainer import (
     train_config_to_dict,
     write_history_csv,
 )
+from attnens.synth import SynthSpec, synth_dataset
 from reference import cross_entropy_scalar
 
 
@@ -293,6 +294,22 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(model, ds, other, quick_cfg(epochs=1))
 
+    def test_empty_test_set_refused_before_first_step(self, monkeypatch):
+        calls = []
+        original = trainer_module.forward_cached
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(trainer_module, "forward_cached", counting)
+        ds = toy_dataset()
+        empty = Dataset(samples=(), class_names=ds.class_names)
+        model = build_model(tiny_model_config(), seed=0)
+        with pytest.raises(ConfigError, match="test set is empty"):
+            train(model, ds, empty, quick_cfg(epochs=1))
+        assert len(calls) == 0
+
     def test_history_rows_sequential(self):
         ds = toy_dataset()
         model = build_model(tiny_model_config(), seed=0)
@@ -317,6 +334,13 @@ class TestEvaluate:
         _, m1 = evaluate(model, ds, batch_size=4)
         _, m2 = evaluate(model, ds, batch_size=64)
         np.testing.assert_allclose(m1.probs, m2.probs, rtol=1e-6)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_refused(self, batch_size):
+        ds = toy_dataset()
+        model = build_model(tiny_model_config(), seed=0)
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(model, ds, batch_size=batch_size)
 
     def test_default_batch_keeps_the_working_set_small(self):
         # tracemalloc sees NumPy's buffers.  Over 66 desk_config images at
@@ -366,6 +390,57 @@ class TestEvaluate:
             for start in range(0, len(ds), 4)
         ]
         assert matrix.probs.tobytes() == np.concatenate(taped).astype(np.float64).tobytes()
+
+
+class TestUint8Images:
+    """A dataset stored as uint8 pixels trains and evaluates with the bits of
+    the same dataset stored as ``image_from_uint8`` float32 images."""
+
+    @staticmethod
+    def stored_pair(image_size):
+        spec = SynthSpec(num_classes=3, per_class=8, image_size=image_size, seed=3)
+        pixels = synth_dataset(spec)
+        assert all(s.image.dtype == np.uint8 for s in pixels.samples)
+        floats = Dataset(
+            tuple(
+                replace(s, image=image_from_uint8(s.image.transpose(1, 2, 0)))
+                for s in pixels.samples
+            ),
+            pixels.class_names,
+        )
+        return pixels, floats
+
+    @staticmethod
+    def cropped(ds):
+        return Dataset(tuple(crop_bbox(s) for s in ds.samples), ds.class_names)
+
+    @pytest.mark.parametrize(
+        "image_size, crop", [(16, False), (24, False), (24, True)],
+        ids=["as_stored", "resized", "cropped_and_resized"],
+    )
+    def test_evaluate_probabilities_are_byte_equal(self, image_size, crop):
+        pixels, floats = self.stored_pair(image_size)
+        if crop:
+            pixels, floats = self.cropped(pixels), self.cropped(floats)
+            assert all(s.image.dtype == np.uint8 for s in pixels.samples)
+        model = build_model(tiny_model_config(), seed=0)
+        (acc_u8, m_u8), (acc_f32, m_f32) = (evaluate(model, ds) for ds in (pixels, floats))
+        assert acc_u8 == acc_f32
+        assert m_u8.probs.tobytes() == m_f32.probs.tobytes()
+
+    @pytest.mark.parametrize("image_size", [16, 24], ids=["as_stored", "resized"])
+    def test_train_parameters_and_history_are_byte_equal(self, image_size):
+        pixels, floats = self.stored_pair(image_size)
+        cfg = replace(quick_cfg(epochs=2), augment=AugmentConfig())
+        runs = [
+            train(build_model(tiny_model_config(), seed=1), ds, ds, cfg, timer=lambda: 0.0)
+            for ds in (pixels, floats)
+        ]
+        (m_u8, h_u8), (m_f32, h_f32) = runs
+        for a, b in zip(m_u8.params, m_f32.params):
+            assert a.weights.tobytes() == b.weights.tobytes(), a.name
+            assert a.bias.tobytes() == b.bias.tobytes(), a.name
+        assert h_u8 == h_f32
 
 
 class TestHistorySerialization:
