@@ -75,7 +75,16 @@ def run_transfer_benchmark(
     n_trials: int = 5,
     pool_size: int = 8,
 ) -> TransferBenchmark:
-    """Run the full pretrain/transfer/ensemble study; see module docstring."""
+    """Run the full pretrain/transfer/ensemble study; see module docstring.
+
+    The ensemble trials choose with the labels they are scored on: each
+    window's members are ranked by ``select_best_k`` on target-test
+    accuracy, the top one gets weight 2, and the gain is measured against
+    the best single member's target-test accuracy.  Weights and baseline
+    chosen this way can move the gain for reasons unrelated to ensembling;
+    a study meant to test the ensemble should choose them on a validation
+    split and score only on the test split.
+    """
     started = time.perf_counter()
     source_train = synth_dataset(SOURCE_SPEC, "train")
     source_test = synth_dataset(SOURCE_SPEC, "test")

@@ -25,10 +25,13 @@ non-finite gradient before any update.  ``input_grad=False`` makes
 conv2d_backward and dense_backward skip the input gradient; the model's
 backward passes it to the lowest step that holds a trainable layer, since
 nothing reads the gradient below that step.
-Max pooling uses a fixed 2x2 window with stride 2; ties resolve to the
-first element in row-major scan order, and the backward pass copies the
-gradient's bit patterns as unsigned integers, so a routed ``-0.0`` or NaN
-keeps its bits and every other input gets ``+0.0``.
+Max pooling uses a fixed 2x2 window with stride 2.  The forward pass takes
+the maximum of each pair of rows first, reading whole rows, then of each
+pair of columns; that order shows only in the sign of a maximum reached by
+both ``+0.0`` and ``-0.0``.  In the backward pass ties resolve to the first
+element in row-major scan order, and the gradient's bit patterns are copied
+as unsigned integers, so a routed ``-0.0`` or NaN keeps its bits and every
+other input gets ``+0.0``.
 """
 
 from __future__ import annotations
@@ -368,22 +371,25 @@ def dropout_backward(mask: np.ndarray, grad_y: np.ndarray):
 def maxpool2d_forward(x: np.ndarray):
     """2x2 max pooling with stride 2 over [N,C,H,W]; H and W must be even.
 
-    The output is the elementwise maximum of the four strided views
-    ``x[:, :, i::2, j::2]``, written C-contiguous in NCHW order whatever the
-    layout of ``x`` (a channel-major view from conv2d_forward included), so
-    later reductions see the same memory order.  The cache is ``(x, y)``:
-    references to the input and the output, no copies.
+    The maximum of each pair of rows, ``x[:, :, 0::2, :]`` against
+    ``x[:, :, 1::2, :]``, is taken first, reading whole rows and writing
+    them C-contiguous in NCHW order whatever the layout of ``x`` (a
+    channel-major view from conv2d_forward included); then the maximum of
+    each pair of columns of that, also C-contiguous, so later reductions
+    see the same memory order.  A window is therefore reduced as
+    ``max(max(x00, x10), max(x01, x11))``.  The pairing order shows only in
+    the sign of a zero maximum: ``np.maximum`` returns its second argument
+    when the two compare equal, so in a window whose maximum is reached by
+    both ``+0.0`` and ``-0.0`` the order decides the sign.  The cache is
+    ``(x, y)``: references to the input and the output, no copies.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool input must be rank 4, got shape {x.shape}")
     h, w = x.shape[2:]
     if h < 2 or w < 2 or h % 2 or w % 2:
         raise ShapeError(f"maxpool needs even spatial dims >= 2, got {h}x{w}")
-    y = np.maximum(
-        np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
-        np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
-        order="C",
-    )
+    rows = np.maximum(x[:, :, 0::2, :], x[:, :, 1::2, :], order="C")
+    y = np.maximum(rows[..., 0::2], rows[..., 1::2], order="C")
     return y, (x, y)
 
 

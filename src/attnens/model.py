@@ -15,12 +15,16 @@ since nothing reads it: with nothing frozen this is the bottom conv, which
 computes weight gradients only, and a frozen-backbone finetune runs only
 the head's backward.  Only live layers' gradients are returned.  A pass
 that no backward will follow (``forward``, ``trainer.evaluate``) keeps no
-tape: each step's cache is dropped as soon as the step returns, so the ReLU
+tape: each step's cache is dropped as soon as the step returns, so the conv
 outputs and pooled maps it holds are freed during the pass.  A pooled
-block's ReLU and pool form one ``relu_maxpool`` step: its backward applies
-the ReLU mask ``y > 0`` of the pooled output ``y`` to the quarter-size
-upstream gradient and then routes it through the pool, which gives the bits
-of relu_backward after maxpool2d_backward without a full-size mask pass.
+block's ReLU and pool form one ``relu_maxpool`` step.  Its forward pools
+the conv output first and applies the ReLU to the quarter-size pooled map
+``y``, with the bits of the ReLU followed by the pool; it caches the conv
+output and ``y``.  Its backward rebuilds the full-size ReLU output, applies
+the ReLU mask ``y > 0`` to the quarter-size upstream gradient and routes it
+through the pool, with the bits of relu_backward after maxpool2d_backward.
+So a full-size ReLU runs only in a backward that reaches the trunk, never
+in a pass that no backward follows nor in a frozen-backbone finetune.
 
 Initialization is a pure function of (config, seed): layers feeding a ReLU
 draw He-uniform weights, layers feeding sigmoid or softmax draw
@@ -272,17 +276,25 @@ def _attention_backward(cache, grad, input_grad=True):
 
 
 def _relu_maxpool_forward(x):
-    r, _ = relu_forward(x)
-    return maxpool2d_forward(r)
+    # ReLU and the 2x2 max are both monotone, and np.maximum(v, 0) maps -0.0
+    # to +0.0, so the ReLU of the pooled map has the bits of the pool of the
+    # ReLU output, on a quarter of the values; only which NaN a window of
+    # several NaN payloads keeps may differ, and softmax refuses NaN logits.
+    # The cache holds the conv output x, not a full-size ReLU output.
+    pooled, _ = maxpool2d_forward(x)
+    y, _ = relu_forward(pooled)
+    return y, (x, y)
 
 
 def _relu_maxpool_backward(cache, grad):
+    # Routing runs on the ReLU output rebuilt from x, as in the unfused pair.
     # The pool routes each window's gradient to an element equal to the
     # window's maximum y, so that element passes the ReLU exactly when y > 0:
     # masking before routing equals relu_backward after it, bit for bit.
     # Every other element gets +0.0 either way.
-    _, y = cache
-    return maxpool2d_backward(cache, grad * (y > 0)), ()
+    x, y = cache
+    r, _ = relu_forward(x)
+    return maxpool2d_backward((r, y), grad * (y > 0)), ()
 
 
 # Step kind -> (forward, backward).  forward(x, *args) returns (y, cache);

@@ -190,6 +190,20 @@ class TestPooling:
         y, _ = maxpool2d_forward(x)
         np.testing.assert_array_equal(y, maxpool_naive(x))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_pairs_rows_first_on_a_signed_zero_tie(self, dtype):
+        """A window is reduced as max(max(x00, x10), max(x01, x11)).
+
+        The pairing order shows only here, in the sign of a zero maximum
+        reached by both +0.0 and -0.0, because np.maximum returns its second
+        argument when the two compare equal.  Pairing columns first would
+        give the opposite signs.
+        """
+        x = np.array([[[[-1.0, -0.0, -1.0, 0.0], [0.0, -1.0, -0.0, -1.0]]]], dtype)
+        y, _ = maxpool2d_forward(x)
+        assert y.tolist() == [[[[0.0, 0.0]]]]
+        assert np.signbit(y).tolist() == [[[[True, False]]]]
+
     def test_maxpool_rejects_odd_dims(self):
         with pytest.raises(ShapeError):
             maxpool2d_forward(np.zeros((1, 1, 5, 4)))

@@ -331,28 +331,56 @@ class TestForward:
     def test_untaped_pass_frees_each_cache_before_the_next_step(
         self, monkeypatch, run, alive_expected
     ):
-        # Counts the ReLU outputs still alive as each conv starts.  A pooled
-        # block's ReLU output is held only by that block's pool cache, so it
-        # outlives its step only while a tape keeps the cache.
-        relu_outputs, alive = [], []
-        original_relu, original_conv = model_module.relu_forward, model_module.conv2d_forward
-
-        def recording_relu(x):
-            y, cache = original_relu(x)
-            relu_outputs.append(weakref.ref(y))
-            return y, cache
+        # Counts the conv outputs still alive as each conv starts.  A pooled
+        # block's conv output is held only by that block's relu_maxpool
+        # cache, so it outlives its step only while a tape keeps the cache.
+        conv_outputs, alive = [], []
+        original_conv = model_module.conv2d_forward
 
         def counting_conv(x, p):
-            alive.append(sum(ref() is not None for ref in relu_outputs))
-            return original_conv(x, p)
+            alive.append(sum(ref() is not None for ref in conv_outputs))
+            y, cache = original_conv(x, p)
+            conv_outputs.append(weakref.ref(y))
+            return y, cache
 
-        monkeypatch.setattr(model_module, "relu_forward", recording_relu)
         monkeypatch.setattr(model_module, "conv2d_forward", counting_conv)
         config = desk_config(5)
         h, w, c = config.input_size
         x = np.random.default_rng(8).random((4, c, h, w)).astype(np.float32)
         run(build_model(config, seed=0), x)
         assert alive == alive_expected
+
+    def test_pooled_blocks_apply_relu_to_quarter_size_maps(self, monkeypatch):
+        # A pooled block pools its conv output first, so its ReLU runs on the
+        # pooled map; a frozen-backbone step's backward, which stops in the
+        # head, runs no ReLU of its own.  The last ReLU is the head's, on fc1.
+        conv_shapes, relu_shapes = [], []
+        original_conv, original_relu = model_module.conv2d_forward, model_module.relu_forward
+
+        def recording_conv(x, p):
+            y, cache = original_conv(x, p)
+            conv_shapes.append(y.shape)
+            return y, cache
+
+        def recording_relu(x):
+            relu_shapes.append(x.shape)
+            return original_relu(x)
+
+        monkeypatch.setattr(model_module, "conv2d_forward", recording_conv)
+        monkeypatch.setattr(model_module, "relu_forward", recording_relu)
+        config = replace(
+            tiny_config(num_classes=4),
+            backbone=(ConvBlockConfig(out_channels=8), ConvBlockConfig(12, pool=False)),
+        )
+        src = build_model(config, seed=0)
+        model = transfer(src, head=(16,), num_classes=4, policy=FREEZE_BACKBONE, seed=1)
+        x = np.random.default_rng(4).random((2, 3, 16, 16)).astype(np.float32)
+        forward(model, x)
+        probs, tape = forward_cached(model, x, ForwardMode.train(0))
+        onehot = np.eye(4, dtype=np.float32)[[0, 2]]
+        backward(model, tape, softmax_cross_entropy_grad(onehot, probs))
+        assert conv_shapes == [(2, 8, 16, 16), (2, 12, 8, 8)] * 2
+        assert relu_shapes == [(2, 8, 8, 8), (2, 12, 8, 8), (2, 16)] * 2
 
     def test_untaped_pass_returns_no_tape_and_the_same_bits(self):
         model = build_model(tiny_config(), seed=0)
