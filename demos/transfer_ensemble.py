@@ -12,13 +12,7 @@ Runs in roughly half a minute on a laptop CPU.
 
 from dataclasses import replace
 
-from attnens.ensemble import (
-    WEIGHTED_AVERAGE,
-    EnsembleSpec,
-    accuracy,
-    combine,
-    select_best_k,
-)
+from attnens.ensemble import EnsembleSpec, accuracy, combine, select_best_k
 from attnens.imageops import AugmentConfig
 from attnens.model import FINETUNE_ALL, FREEZE_BACKBONE, build_model, desk_config, transfer
 from attnens.synth import SynthSpec, synth_dataset
@@ -69,7 +63,7 @@ def main():
         (matrix, 2.0 if matrix.model_name == best_name else 1.0)
         for matrix, _ in members
     )
-    combined = combine(EnsembleSpec(members=weighted, rule=WEIGHTED_AVERAGE))
+    combined = combine(EnsembleSpec(members=weighted))
     labels = [s.label for s in tgt_test.samples]
     ens_acc = accuracy(combined, labels)
     best_acc = ranked[0][1]

@@ -21,7 +21,7 @@ if _threads.isascii() and _threads.isdigit() and _threads != "0":
         _os.environ.setdefault(_var, _threads)
 
 from .attention import AttentionConfig, AttentionParams, ca_backward, ca_forward
-from .checkpoint import Checkpoint, from_model, load_checkpoint, load_model, save_model
+from .checkpoint import load_checkpoint, load_model, save_model
 from .data import Dataset, Sample, crop_bbox, load_dataset, read_label_table
 from .ensemble import (
     EnsembleSpec,
@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .gradcheck import AuditRow, audit_gradients, grad_check, numeric_gradient, relative_error
-from .imageops import AugmentConfig, AugmentDraw, augment, draw_augment_params, hflip, resize_bilinear
+from .imageops import AugmentConfig, AugmentDraw, augment, draw_augment_params, resize_bilinear
 from .layers import ForwardMode, LayerParams
 from .model import (
     ConvBlockConfig,

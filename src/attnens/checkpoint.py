@@ -14,6 +14,8 @@ Layout (all integers little-endian uint32 unless noted):
 Records appear in model order as '<layer>.weight' then '<layer>.bias'.
 Writing the same model twice yields identical bytes, and a load/save round
 trip is byte-exact because parameters are stored in their native float32.
+A checkpoint loads as the ``Model`` it was saved from: ``load_checkpoint``
+returns ``(model, history_summary)`` and ``load_model`` the model alone.
 """
 
 from __future__ import annotations
@@ -22,41 +24,16 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_write
 from .errors import CheckpointError, ConfigError, UnsupportedVersionError
 from .layers import LayerParams
-from .model import Model, ModelConfig, _layer_plan, config_from_dict, config_to_dict
+from .model import Model, _layer_plan, config_from_dict, config_to_dict
 
 MAGIC = b"AENS"
 FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """Deserialized checkpoint: architecture, weights, frozen set, history."""
-
-    config: ModelConfig
-    params: tuple[LayerParams, ...]
-    frozen: frozenset[str]
-    history_summary: dict
-    format_version: int = FORMAT_VERSION
-
-    def to_model(self) -> Model:
-        return Model(config=self.config, params=self.params, frozen=self.frozen)
-
-
-def from_model(model: Model, history_summary: dict | None = None) -> Checkpoint:
-    """Wrap an in-memory model as a checkpoint without touching disk."""
-    return Checkpoint(
-        config=model.config,
-        params=model.params,
-        frozen=model.frozen,
-        history_summary=history_summary or {},
-    )
 
 
 def _canonical_json(obj) -> bytes:
@@ -113,8 +90,8 @@ def _read_u32(f, what: str) -> int:
     return struct.unpack("<I", _read_exact(f, 4, what))[0]
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Parse and validate a checkpoint file."""
+def load_checkpoint(path) -> tuple[Model, dict]:
+    """Parse and validate a checkpoint file: ``(model, history_summary)``."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != MAGIC:
@@ -191,14 +168,8 @@ def load_checkpoint(path) -> Checkpoint:
     known = {p.name for p in params}
     if not frozen <= known:
         raise CheckpointError(f"frozen set names unknown layers {sorted(frozen - known)}")
-    return Checkpoint(
-        config=config,
-        params=tuple(params),
-        frozen=frozen,
-        history_summary=header["history"],
-        format_version=version,
-    )
+    return Model(config=config, params=tuple(params), frozen=frozen), header["history"]
 
 
 def load_model(path) -> Model:
-    return load_checkpoint(path).to_model()
+    return load_checkpoint(path)[0]

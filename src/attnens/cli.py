@@ -23,8 +23,6 @@ from .atomic import atomic_write
 from .checkpoint import load_checkpoint, load_model, save_model
 from .data import Dataset, crop_bbox, load_dataset, read_label_table
 from .ensemble import (
-    AVERAGE,
-    WEIGHTED_AVERAGE,
     EnsembleSpec,
     accuracy,
     combine,
@@ -198,7 +196,7 @@ def cmd_finetune(args) -> int:
     seed, data_dir, out_dir, model_config, train_config = _parse_run_config(
         _load_json(args.config), "finetune config", restated
     )
-    source = load_checkpoint(args.source)
+    source, _ = load_checkpoint(args.source)
     if model_config.backbone != source.config.backbone:
         raise ConfigError(
             "finetune config backbone must restate the source checkpoint backbone"
@@ -254,15 +252,15 @@ def _parse_weights(text: str, count: int) -> list[float]:
 def cmd_ensemble(args) -> int:
     paths = [p for chunk in args.members for p in chunk.split(",") if p]
     matrices = [read_matrix(path) for path in paths]
+    # The report's rule says whether weights were given, not whether they differ.
     if args.weights is not None:
         weights = _parse_weights(args.weights, len(matrices))
-        rule = WEIGHTED_AVERAGE
+        rule = "weighted_average"
     else:
         weights = [1.0] * len(matrices)
-        rule = AVERAGE
+        rule = "average"
     label_of, class_names = read_label_table(args.labels)
-    spec = EnsembleSpec(members=tuple(zip(matrices, weights)), rule=rule)
-    combined = combine(spec)
+    combined = combine(EnsembleSpec(members=tuple(zip(matrices, weights))))
 
     def labels_for(matrix):
         missing = [sid for sid in matrix.sample_ids if sid not in label_of]

@@ -10,8 +10,8 @@ manifest order.
 Loaded images keep the decoded bytes: a C-contiguous ``[3, H, W]`` uint8
 array, a quarter of the float32 form's memory.  ``float_image`` scales one
 to float32 in [0, 1] where a batch is built (``trainer.train`` and
-``trainer.evaluate``), with ``image_from_uint8``'s arithmetic, so every
-batch holds the same bits as if the float image had been stored.
+``trainer.evaluate``) as ``astype(float32) / float32(255)``, so every batch
+holds the same bits as if the float image had been stored.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ def float_image(image: np.ndarray) -> np.ndarray:
     if image.dtype != np.uint8:
         return image
     return image.astype(np.float32) / np.float32(255.0)
-
-
-def image_from_uint8(pixels: np.ndarray) -> np.ndarray:
-    """Convert [H, W, 3] uint8 pixels to a C-contiguous [3, H, W] float32 tensor in [0, 1]."""
-    return float_image(channel_major(pixels))
 
 
 def _parse_bbox(row: dict, row_num: int):

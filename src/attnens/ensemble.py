@@ -1,8 +1,9 @@
 """Prediction matrices and weighted-average ensembling.
 
 A prediction matrix is one model's row-stochastic class probabilities over a
-fixed, ordered set of sample ids.  Ensembling combines aligned matrices as
-sum(w_i * P_i) / sum(w_i).  Members are accumulated in sorted-name order, so
+fixed, ordered set of sample ids.  Every ensemble combines aligned matrices
+as the weighted average sum(w_i * P_i) / sum(w_i); equal weights give the
+plain average.  Members are accumulated in sorted-name order, so
 equal-weight combination is bitwise invariant under member permutation, and
 scaling all weights by a constant cancels.
 
@@ -22,10 +23,6 @@ from .atomic import atomic_write
 from .errors import AlignmentError, ConfigError, MatrixParseError
 
 ROW_SUM_TOLERANCE = 1e-5
-
-AVERAGE = "average"
-WEIGHTED_AVERAGE = "weighted_average"
-RULES = (AVERAGE, WEIGHTED_AVERAGE)
 
 
 @dataclass(frozen=True)
@@ -73,19 +70,16 @@ class PredictionMatrix:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Members with non-negative weights plus the combining rule.
+    """(matrix, weight) members of a normalised weighted average.
 
-    The 'average' rule requires equal weights; 'weighted_average' accepts any
-    non-negative weights with a positive sum.
+    Weights must be finite and non-negative with a positive sum; equal
+    weights give the plain average.
     """
 
     members: tuple[tuple[PredictionMatrix, float], ...]
-    rule: str = AVERAGE
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        if self.rule not in RULES:
-            raise ConfigError(f"rule must be one of {RULES}, got {self.rule!r}")
         if not self.members:
             raise ConfigError("ensemble needs at least one member")
         weights = np.array([w for _, w in self.members], dtype=np.float64)
@@ -93,8 +87,6 @@ class EnsembleSpec:
             raise ConfigError("weights must be finite and non-negative")
         if weights.sum() <= 0.0:
             raise ConfigError("at least one weight must be positive")
-        if self.rule == AVERAGE and len(set(weights.tolist())) > 1:
-            raise ConfigError("'average' rule requires equal weights")
 
 
 def _check_aligned(members) -> None:
@@ -124,7 +116,7 @@ def combine(spec: EnsembleSpec) -> PredictionMatrix:
     _check_aligned(spec.members)
     ordered = sorted(spec.members, key=lambda mw: mw[0].model_name)
     described = ",".join(f"{m.model_name}:{w:g}" for m, w in ordered)
-    name = f"{spec.rule}({described})"
+    name = f"weighted_average({described})"
     if len(ordered) == 1:
         matrix, _ = ordered[0]
         return PredictionMatrix(name, matrix.sample_ids, matrix.probs.copy())
@@ -138,20 +130,26 @@ def combine(spec: EnsembleSpec) -> PredictionMatrix:
     return PredictionMatrix(name, ordered[0][0].sample_ids, total)
 
 
-def accuracy(matrix: PredictionMatrix, labels) -> float:
-    """Top-1 accuracy; argmax ties resolve to the lowest class index."""
+def _row_labels(matrix: PredictionMatrix, labels) -> np.ndarray:
+    """``labels`` as an array, refused unless it holds one label per row."""
     labels = np.asarray(labels)
     if labels.shape != (len(matrix),):
         raise AlignmentError(
             f"{labels.shape[0] if labels.ndim else 0} labels for {len(matrix)} rows"
         )
+    return labels
+
+
+def accuracy(matrix: PredictionMatrix, labels) -> float:
+    """Top-1 accuracy; argmax ties resolve to the lowest class index."""
+    labels = _row_labels(matrix, labels)
     predictions = matrix.probs.argmax(axis=1)
     return float((predictions == labels).mean())
 
 
 def per_class_accuracy(matrix: PredictionMatrix, labels) -> dict[int, float]:
     """Accuracy restricted to each true class present in ``labels``."""
-    labels = np.asarray(labels)
+    labels = _row_labels(matrix, labels)
     predictions = matrix.probs.argmax(axis=1)
     out = {}
     for cls in sorted(set(labels.tolist())):

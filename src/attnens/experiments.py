@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import EnsembleSpec, PredictionMatrix, WEIGHTED_AVERAGE, accuracy, combine, select_best_k
+from .ensemble import EnsembleSpec, PredictionMatrix, accuracy, combine, select_best_k
 from .imageops import AugmentConfig
 from .model import FINETUNE_ALL, build_model, desk_config, transfer
 from .seeding import derive_seed
@@ -141,7 +141,7 @@ def run_transfer_benchmark(
         for acc, matrix in window:
             weight = 2.0 if matrix.model_name == best_name else 1.0
             members.append((matrix, weight))
-        combined = combine(EnsembleSpec(members=tuple(members), rule=WEIGHTED_AVERAGE))
+        combined = combine(EnsembleSpec(members=tuple(members)))
         ens_acc = accuracy(combined, labels)
         best_single = max(acc for acc, _ in window)
         ensemble_accs.append(ens_acc)

@@ -1,4 +1,4 @@
-"""Geometric image operations: bilinear resize, flips, and augmentation.
+"""Geometric image operations: bilinear resize and augmentation.
 
 Images are [C, H, W] float arrays with values in [0, 1]; resize and augment
 refuse an integer image, so a loaded uint8 image goes through
@@ -82,13 +82,6 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     # take, not fancy indexing, which would return a channels-last result.
     rows = (one - wx) * image.take(x0, axis=2) + wx * image.take(x1, axis=2)
     return (one - wy)[:, None] * rows.take(y0, axis=1) + wy[:, None] * rows.take(y1, axis=1)
-
-
-def hflip(image: np.ndarray) -> np.ndarray:
-    """Mirror a [C, H, W] image left-right; exact involution."""
-    if image.ndim != 3:
-        raise ShapeError(f"image must be [C, H, W], got shape {image.shape}")
-    return image[:, :, ::-1].copy()
 
 
 @dataclass(frozen=True)

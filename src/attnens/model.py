@@ -407,7 +407,7 @@ def backward(model: Model, tape, grad_logits: np.ndarray) -> dict[str, np.ndarra
 
 
 def transfer(
-    source,
+    source: Model,
     head: tuple[int, ...],
     num_classes: int,
     policy: str,
@@ -417,10 +417,11 @@ def transfer(
 ) -> Model:
     """Graft a trained backbone onto a fresh head for a new label space.
 
-    ``source`` is a Checkpoint.  Backbone and attention parameters are copied
-    verbatim; head layers are re-initialized from ``seed``.  With the
-    'freeze_backbone' policy the copied layers are marked frozen so training
-    leaves them untouched.
+    ``source`` is a trained ``Model``, in memory or from ``load_checkpoint``;
+    its frozen set is not carried over.  Backbone and attention parameters
+    are copied verbatim; head layers are re-initialized from ``seed``.  With
+    the 'freeze_backbone' policy the copied layers are marked frozen so
+    training leaves them untouched.
     """
     if policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")

@@ -3,6 +3,11 @@
 Everything here is written in the most literal style possible (scalar loops,
 no vectorization, no shared helpers from the package under test) so that a
 bug in the library cannot hide in its own oracle.
+
+Some oracles have no library counterpart by name: ``image_from_uint8`` is the
+float image a batch must hold for decoded pixels, and ``hflip`` the exact
+mirror that a flip-only augmentation must give.  The pipeline never calls
+either, so they live here rather than in the package.
 """
 
 import math
@@ -192,6 +197,24 @@ def resize_bilinear_naive(image, out_h, out_w):
                 top = tl * (1 - fx) + tr * fx
                 bot = bl * (1 - fx) + br * fx
                 out[i, j, ch] = top * (1 - fy) + bot * fy
+    return out
+
+
+def image_from_uint8(pixels):
+    """[H, W, 3] uint8 pixels as a C-contiguous [3, H, W] float32 image in [0, 1].
+
+    One float32 division by 255 per element: the arithmetic that
+    ``data.float_image`` applies to a loaded channel-major image.
+    """
+    return pixels.transpose(2, 0, 1).astype(np.float32, order="C") / np.float32(255.0)
+
+
+def hflip(image):
+    """Mirror a [C, H, W] image left-right, one column at a time."""
+    w = image.shape[2]
+    out = np.empty_like(image)
+    for j in range(w):
+        out[:, :, j] = image[:, :, w - 1 - j]
     return out
 
 

@@ -14,15 +14,12 @@ import pytest
 
 from attnens.checkpoint import (
     UnsupportedVersionError,
-    from_model,
     load_checkpoint,
     load_model,
     save_model,
 )
 from attnens.cli import main
 from attnens.ensemble import (
-    AVERAGE,
-    WEIGHTED_AVERAGE,
     EnsembleSpec,
     MatrixParseError,
     PredictionMatrix,
@@ -92,30 +89,26 @@ def test_ensemble_algebra():
         n, k = int(rng.integers(1, 9)), int(rng.integers(2, 7))
         mats = [matrix(f"m{j}", random_stochastic(rng, n, k)) for j in range(members)]
         weights = rng.uniform(0.1, 3.0, members)
-        got = combine(EnsembleSpec(
-            members=tuple(zip(mats, weights)), rule=WEIGHTED_AVERAGE))
+        got = combine(EnsembleSpec(members=tuple(zip(mats, weights))))
         ref = combine_naive([m.probs for m in mats], list(weights))
         worst = max(worst, float(np.abs(got.probs - ref).max()))
 
     mats = [matrix(f"m{j}", random_stochastic(rng, 6, 4)) for j in range(4)]
-    fwd = combine(EnsembleSpec(members=tuple((m, 1.0) for m in mats), rule=AVERAGE))
-    rev = combine(EnsembleSpec(members=tuple((m, 1.0) for m in reversed(mats)), rule=AVERAGE))
+    fwd = combine(EnsembleSpec(members=tuple((m, 1.0) for m in mats)))
+    rev = combine(EnsembleSpec(members=tuple((m, 1.0) for m in reversed(mats))))
     permutation_ok = np.array_equal(fwd.probs, rev.probs)
 
-    w1 = combine(EnsembleSpec(
-        members=tuple(zip(mats, (2.0, 1.0, 1.0, 1.0))), rule=WEIGHTED_AVERAGE))
-    w2 = combine(EnsembleSpec(
-        members=tuple(zip(mats, (4.0, 2.0, 2.0, 2.0))), rule=WEIGHTED_AVERAGE))
+    w1 = combine(EnsembleSpec(members=tuple(zip(mats, (2.0, 1.0, 1.0, 1.0)))))
+    w2 = combine(EnsembleSpec(members=tuple(zip(mats, (4.0, 2.0, 2.0, 2.0)))))
     scale_ok = np.allclose(w1.probs, w2.probs, rtol=0, atol=1e-12)
 
     closure_ok = np.allclose(w1.probs.sum(axis=1), 1.0, atol=1e-9)
-    solo = combine(EnsembleSpec(members=((mats[0], 3.0),), rule=WEIGHTED_AVERAGE))
+    solo = combine(EnsembleSpec(members=((mats[0], 3.0),)))
     identity_ok = np.array_equal(solo.probs, mats[0].probs)
 
     pair = combine(EnsembleSpec(
         members=((matrix("a", np.array([[0.8, 0.2]])), 2.0),
-                 (matrix("b", np.array([[0.2, 0.8]])), 1.0)),
-        rule=WEIGHTED_AVERAGE))
+                 (matrix("b", np.array([[0.2, 0.8]])), 1.0))))
     example_ok = np.array_equal(pair.probs, np.array([[0.6, 0.4]]))
 
     ok = (worst < 1e-12 and permutation_ok and scale_ok and closure_ok
@@ -145,7 +138,7 @@ def test_persistence(tmp_path):
     model = build_model(desk_config(4, input_size=(16, 16, 3)), seed=9)
     p1, p2 = tmp_path / "a.aens", tmp_path / "b.aens"
     save_model(model, p1, {"epochs": 3, "final_test_acc": 0.5})
-    save_model(load_model(p1), p2, load_checkpoint(p1).history_summary)
+    save_model(load_model(p1), p2, load_checkpoint(p1)[1])
     checkpoint_ok = p1.read_bytes() == p2.read_bytes()
 
     rng = np.random.default_rng(0)

@@ -16,6 +16,7 @@ from attnens.checkpoint import (
 from attnens.errors import CheckpointError, ConfigError, UnsupportedVersionError
 from attnens.layers import LayerParams
 from attnens.model import (
+    FINETUNE_ALL,
     FREEZE_BACKBONE,
     build_model,
     desk_config,
@@ -64,9 +65,9 @@ class TestRoundTrip:
     def test_header_metadata_survives(self, model, tmp_path):
         p = tmp_path / "m.aens"
         save_model(model, str(p), history_summary={"epochs": 3, "final_test_acc": 0.5})
-        ckpt = load_checkpoint(str(p))
-        assert ckpt.history_summary == {"epochs": 3, "final_test_acc": 0.5}
-        assert ckpt.format_version == FORMAT_VERSION
+        _, history = load_checkpoint(str(p))
+        assert history == {"epochs": 3, "final_test_acc": 0.5}
+        assert p.read_bytes()[4:8] == FORMAT_VERSION.to_bytes(4, "little")
 
     def test_frozen_set_survives(self, model, tmp_path):
         dst = transfer(model, head=(128,), num_classes=6, policy=FREEZE_BACKBONE, seed=0)
@@ -82,6 +83,21 @@ class TestRoundTrip:
         for name in model.param_names():
             np.testing.assert_array_equal(again.param(name).weights, model.param(name).weights)
             np.testing.assert_array_equal(again.param(name).bias, model.param(name).bias)
+
+    @pytest.mark.parametrize("policy", [FREEZE_BACKBONE, FINETUNE_ALL])
+    def test_transfer_from_loaded_model_matches_in_memory(self, model, tmp_path, policy):
+        # `attnens finetune` grafts a model read back from disk; the library
+        # and the demos graft one held in memory.
+        p = tmp_path / "m.aens"
+        save_bytes(model, p)
+        loaded, _ = load_checkpoint(str(p))
+        kwargs = dict(head=(16,), num_classes=3, policy=policy, seed=5)
+        got, want = transfer(loaded, **kwargs), transfer(model, **kwargs)
+        assert got.config == want.config
+        assert got.frozen == want.frozen
+        assert [(q.name, q.weights.tobytes(), q.bias.tobytes()) for q in got.params] == [
+            (q.name, q.weights.tobytes(), q.bias.tobytes()) for q in want.params
+        ]
 
 
 class TestCorruption:

@@ -165,8 +165,8 @@ class TestTrainingRuns:
         assert not out_dir.exists()
 
     def test_freeze_policy_preserves_backbone_bytes(self, pipeline):
-        source = {p.name: p for p in load_checkpoint(pipeline["source_ckpt"]).params}
-        frozen = load_checkpoint(pipeline["runs"]["frozen"])
+        source = {p.name: p for p in load_checkpoint(pipeline["source_ckpt"])[0].params}
+        frozen, _ = load_checkpoint(pipeline["runs"]["frozen"])
         tuned = {p.name: p for p in frozen.params}
         for name in ("conv1", "conv2", "attn_reduce", "attn_expand"):
             np.testing.assert_array_equal(tuned[name].weights, source[name].weights)
@@ -175,8 +175,8 @@ class TestTrainingRuns:
         assert not np.array_equal(tuned["logits"].weights, source["logits"].weights)
 
     def test_full_policy_moves_backbone(self, pipeline):
-        source = {p.name: p for p in load_checkpoint(pipeline["source_ckpt"]).params}
-        full = load_checkpoint(pipeline["runs"]["full"])
+        source = {p.name: p for p in load_checkpoint(pipeline["source_ckpt"])[0].params}
+        full, _ = load_checkpoint(pipeline["runs"]["full"])
         tuned = {p.name: p for p in full.params}
         assert full.frozen == frozenset()
         assert not np.array_equal(tuned["conv1"].weights, source["conv1"].weights)
@@ -399,6 +399,23 @@ class TestEnsemble:
         assert [m["weight"] for m in report["members"]] == [2.0, 1.0]
         assert set(report["per_class_accuracy"]) == {"triangle1", "ring1", "diamond1"}
         assert 0.0 <= report["accuracy"] <= 1.0
+
+    def test_equal_weights_report_weighted_average_with_the_plain_scores(self, pipeline):
+        # The report's rule records whether --weights was given, not whether
+        # the weights differ; equal weights score as the plain average.
+        members = [str(pipeline["preds"] / "frozen.csv"),
+                   str(pipeline["preds"] / "full.csv")]
+        reports = {}
+        for label, extra in (("plain", []), ("equal", ["--weights", "1,1"])):
+            report_path = str(pipeline["root"] / f"{label}.json")
+            assert main(["ensemble", "--members", *members, *extra,
+                         "--labels", pipeline["labels"], "--out", report_path]) == 0
+            reports[label] = json.loads(Path(report_path).read_text())
+        plain, equal = reports["plain"], reports["equal"]
+        assert plain["rule"] == "average"
+        assert equal["rule"] == "weighted_average"
+        assert equal["accuracy"] == plain["accuracy"]
+        assert equal["per_class_accuracy"] == plain["per_class_accuracy"]
 
     def test_comma_separated_members_accepted(self, pipeline):
         report_path = str(pipeline["root"] / "csv_members.json")

@@ -8,9 +8,9 @@ import pytest
 from attnens.data import (
     Dataset,
     Sample,
+    channel_major,
     crop_bbox,
     float_image,
-    image_from_uint8,
     load_dataset,
     read_label_table,
 )
@@ -22,13 +22,18 @@ from attnens.imageops import (
     augment_config_from_dict,
     augment_config_to_dict,
     draw_augment_params,
-    hflip,
     resize_bilinear,
 )
 import attnens.ppm as ppm_module
 from attnens.ppm import read_ppm, write_ppm
 from attnens.synth import SynthSpec, class_recipe, synth_dataset, write_synth_dataset
-from reference import augment_gather, resize_bilinear_gather, resize_bilinear_naive
+from reference import (
+    augment_gather,
+    hflip,
+    image_from_uint8,
+    resize_bilinear_gather,
+    resize_bilinear_naive,
+)
 
 
 def count_ppm_reads(monkeypatch):
@@ -344,10 +349,11 @@ class TestSamplesAndCrop:
         else:
             pixels = np.random.default_rng(11).integers(0, 256, (37, 29, 3), dtype=np.uint8)
         img = image_from_uint8(pixels)
-        assert img.flags.c_contiguous
+        stored = float_image(channel_major(pixels))
+        assert img.flags.c_contiguous and stored.flags.c_contiguous
         old = self.channels_last_image(pixels)
-        assert img.dtype == old.dtype and img.shape == old.shape
-        assert img.tobytes() == old.tobytes()
+        assert img.dtype == old.dtype == stored.dtype and img.shape == old.shape == stored.shape
+        assert img.tobytes() == old.tobytes() == stored.tobytes()
 
     def test_channel_major_images_resize_augment_and_crop_with_the_same_bits(self):
         # Loaded images changed layout, not values: resize, augmentation and

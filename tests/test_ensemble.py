@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from attnens.ensemble import (
-    AVERAGE,
-    WEIGHTED_AVERAGE,
     EnsembleSpec,
     PredictionMatrix,
     accuracy,
@@ -66,9 +64,7 @@ class TestCombine:
             n_members = int(rng.integers(1, 5))
             mats = [random_matrix(rng, f"m{j}", IDS) for j in range(n_members)]
             weights = rng.uniform(0.1, 3.0, n_members)
-            spec = EnsembleSpec(
-                members=tuple(zip(mats, weights)), rule=WEIGHTED_AVERAGE
-            )
+            spec = EnsembleSpec(members=tuple(zip(mats, weights)))
             got = combine(spec)
             ref = combine_naive([m.probs for m in mats], list(weights))
             np.testing.assert_allclose(got.probs, ref, rtol=1e-12, atol=1e-13)
@@ -76,41 +72,35 @@ class TestCombine:
     def test_equal_weight_permutation_invariance(self):
         rng = np.random.default_rng(1)
         mats = [random_matrix(rng, f"m{j}", IDS) for j in range(4)]
-        fwd = combine(EnsembleSpec(members=tuple((m, 1.0) for m in mats), rule=AVERAGE))
-        rev = combine(EnsembleSpec(members=tuple((m, 1.0) for m in reversed(mats)), rule=AVERAGE))
+        fwd = combine(EnsembleSpec(members=tuple((m, 1.0) for m in mats)))
+        rev = combine(EnsembleSpec(members=tuple((m, 1.0) for m in reversed(mats))))
         np.testing.assert_array_equal(fwd.probs, rev.probs)
 
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(2)
         mats = [random_matrix(rng, f"m{j}", IDS) for j in range(3)]
         w = np.array([2.0, 1.0, 0.5])
-        a = combine(EnsembleSpec(members=tuple(zip(mats, w)), rule=WEIGHTED_AVERAGE))
-        b = combine(EnsembleSpec(members=tuple(zip(mats, 10 * w)), rule=WEIGHTED_AVERAGE))
+        a = combine(EnsembleSpec(members=tuple(zip(mats, w))))
+        b = combine(EnsembleSpec(members=tuple(zip(mats, 10 * w))))
         np.testing.assert_allclose(a.probs, b.probs, rtol=1e-12)
 
     def test_rows_remain_stochastic(self):
         rng = np.random.default_rng(3)
         mats = [random_matrix(rng, f"m{j}", IDS) for j in range(3)]
-        out = combine(EnsembleSpec(members=tuple((m, 1.0) for m in mats), rule=AVERAGE))
+        out = combine(EnsembleSpec(members=tuple((m, 1.0) for m in mats)))
         np.testing.assert_allclose(out.probs.sum(axis=1), np.ones(len(IDS)), rtol=1e-12)
 
     def test_single_member_identity(self):
         rng = np.random.default_rng(4)
         m = random_matrix(rng, "solo", IDS)
-        out = combine(EnsembleSpec(members=((m, 3.0),), rule=WEIGHTED_AVERAGE))
+        out = combine(EnsembleSpec(members=((m, 3.0),)))
         np.testing.assert_array_equal(out.probs, m.probs)
 
     def test_worked_two_member_example(self):
         a = PredictionMatrix(model_name="a", sample_ids=("x",), probs=np.array([[0.8, 0.2]]))
         b = PredictionMatrix(model_name="b", sample_ids=("x",), probs=np.array([[0.2, 0.8]]))
-        out = combine(EnsembleSpec(members=((a, 2.0), (b, 1.0)), rule=WEIGHTED_AVERAGE))
+        out = combine(EnsembleSpec(members=((a, 2.0), (b, 1.0))))
         np.testing.assert_array_equal(out.probs, [[0.6, 0.4]])
-
-    def test_average_rule_requires_equal_weights(self):
-        rng = np.random.default_rng(5)
-        mats = [random_matrix(rng, f"m{j}", IDS) for j in range(2)]
-        with pytest.raises(ConfigError):
-            EnsembleSpec(members=((mats[0], 1.0), (mats[1], 2.0)), rule=AVERAGE)
 
     def test_misaligned_ids_error_names_first_divergence(self):
         rng = np.random.default_rng(6)
@@ -118,22 +108,22 @@ class TestCombine:
         shuffled = IDS[1:] + IDS[:1]
         b = random_matrix(rng, "b", shuffled)
         with pytest.raises(AlignmentError, match="b"):
-            combine(EnsembleSpec(members=((a, 1.0), (b, 1.0)), rule=AVERAGE))
+            combine(EnsembleSpec(members=((a, 1.0), (b, 1.0))))
 
     def test_class_count_mismatch_rejected(self):
         rng = np.random.default_rng(7)
         a = random_matrix(rng, "a", IDS, k=3)
         b = random_matrix(rng, "b", IDS, k=4)
         with pytest.raises((AlignmentError, ConfigError)):
-            combine(EnsembleSpec(members=((a, 1.0), (b, 1.0)), rule=AVERAGE))
+            combine(EnsembleSpec(members=((a, 1.0), (b, 1.0))))
 
     def test_rejects_bad_weights(self):
         rng = np.random.default_rng(8)
         m = random_matrix(rng, "m", IDS)
         with pytest.raises(ConfigError):
-            EnsembleSpec(members=((m, -1.0),), rule=WEIGHTED_AVERAGE)
+            EnsembleSpec(members=((m, -1.0),))
         with pytest.raises(ConfigError):
-            EnsembleSpec(members=((m, float("nan")),), rule=WEIGHTED_AVERAGE)
+            EnsembleSpec(members=((m, float("nan")),))
 
 
 class TestAccuracy:
@@ -155,6 +145,14 @@ class TestAccuracy:
         by_class = per_class_accuracy(m, [0, 0, 1, 1])
         assert by_class[0] == 1.0
         assert by_class[1] == 0.5
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 0]], ids=["too_few", "too_many"])
+    def test_label_count_must_match_rows(self, labels):
+        probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]])
+        m = PredictionMatrix(model_name="m", sample_ids=tuple("abc"), probs=probs)
+        for score in (accuracy, per_class_accuracy):
+            with pytest.raises(AlignmentError, match=f"{len(labels)} labels for 3 rows"):
+                score(m, labels)
 
 
 class TestSelection:

@@ -8,7 +8,7 @@ import pytest
 
 import attnens.model as model_module
 import attnens.trainer as trainer_module
-from attnens.data import Dataset, Sample, crop_bbox, image_from_uint8
+from attnens.data import Dataset, Sample, crop_bbox
 from attnens.errors import ConfigError, NumericError, ShapeError
 from attnens.imageops import AugmentConfig
 from attnens.layers import ForwardMode
@@ -38,7 +38,7 @@ from attnens.trainer import (
     write_history_csv,
 )
 from attnens.synth import SynthSpec, synth_dataset
-from reference import cross_entropy_scalar
+from reference import cross_entropy_scalar, image_from_uint8
 
 
 def tiny_model_config(num_classes=3):
