@@ -20,7 +20,7 @@ if _threads.isascii() and _threads.isdigit() and _threads != "0":
     ):
         _os.environ.setdefault(_var, _threads)
 
-from .attention import AttentionConfig, AttentionParams, ca_backward, ca_forward
+from .attention import AttentionConfig, ca_backward, ca_forward
 from .checkpoint import load_checkpoint, load_model, save_model
 from .data import Dataset, Sample, crop_bbox, load_dataset, read_label_table
 from .ensemble import (

@@ -113,6 +113,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         for key in ("config", "frozen", "history"):
             if key not in header:
                 raise CheckpointError(f"header missing {key!r}")
+        if not isinstance(header["history"], dict):
+            raise CheckpointError("header 'history' must be a JSON object")
         try:
             config = config_from_dict(header["config"])
         except ConfigError as e:

@@ -176,8 +176,8 @@ def write_matrix(matrix: PredictionMatrix, path) -> None:
             f.write(sid + "," + ",".join(f"{v:.12g}" for v in row) + "\n")
 
 
-def read_matrix(path, model_name: str | None = None) -> PredictionMatrix:
-    """Parse and validate a prediction-matrix CSV."""
+def read_matrix(path) -> PredictionMatrix:
+    """Parse and validate a prediction-matrix CSV; the model name is the file stem."""
     with open(path, newline="") as f:
         try:
             lines = f.read().splitlines()
@@ -211,9 +211,8 @@ def read_matrix(path, model_name: str | None = None) -> PredictionMatrix:
         rows.append(row)
     if not rows:
         raise MatrixParseError(f"{path}: no data rows")
-    name = model_name if model_name is not None else _stem(path)
     try:
-        return PredictionMatrix(name, tuple(ids), np.array(rows, dtype=np.float64))
+        return PredictionMatrix(_stem(path), tuple(ids), np.array(rows, dtype=np.float64))
     except ConfigError as e:
         raise MatrixParseError(f"{path}: {e}") from None
 

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import layers
-from .attention import AttentionConfig, AttentionParams, ca_backward, ca_forward
+from .attention import AttentionConfig, ca_backward, ca_forward
 from .errors import ConfigError, PrecisionError
 from .layers import ForwardMode, LayerParams
 from .trainer import cross_entropy, softmax_cross_entropy_grad
@@ -171,18 +171,10 @@ def _check_channel_attention(rng: np.random.Generator) -> float:
     eb = rng.normal(size=4) * 0.1
 
     def forward(xv, rwv, rbv, ewv, ebv):
-        p = AttentionParams(
-            reduce=LayerParams("attn_reduce", rwv, rbv),
-            expand=LayerParams("attn_expand", ewv, ebv),
-        )
-        y, _, cache = ca_forward(xv, p)
-        return y, cache
+        reduce = LayerParams("attn_reduce", rwv, rbv)
+        return ca_forward(xv, reduce, LayerParams("attn_expand", ewv, ebv))
 
-    def backward(cache, r):
-        gx, grads = ca_backward(cache, r)
-        return (gx, *grads["reduce"], *grads["expand"])
-
-    return _check_pair(rng, forward, backward, x, rw, rb, ew, eb)
+    return _check_pair(rng, forward, ca_backward, x, rw, rb, ew, eb)
 
 
 def _check_softmax_cross_entropy(rng: np.random.Generator) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, decode_config, encode_config
+from .errors import ConfigError, ShapeError, encode_config
 
 
 def _sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -183,7 +183,3 @@ def augment(
 
 def augment_config_to_dict(cfg: AugmentConfig) -> dict:
     return encode_config(cfg)
-
-
-def augment_config_from_dict(d) -> AugmentConfig:
-    return decode_config(AugmentConfig, d, "augment config")

@@ -340,11 +340,17 @@ def gap_forward(x: np.ndarray):
 
 
 def gap_backward(cache, grad_y: np.ndarray):
+    """Spread each [N,C] gradient evenly over its H x W map, as a read-only view.
+
+    A view, not a copy.  Which NaN an add of two NaNs keeps depends on
+    NumPy's loop (vector lanes and the scalar tail can differ), so the
+    attention block, which adds this to a full-size array, runs the same
+    broadcast add as the inline form it is checked against bit for bit.
+    """
     n, c, h, w = cache
     if grad_y.shape != (n, c):
         raise ShapeError(f"grad shape {grad_y.shape} != ({n}, {c})")
-    spread = grad_y[:, :, None, None] / grad_y.dtype.type(h * w)
-    return np.broadcast_to(spread, (n, c, h, w)).copy()
+    return np.broadcast_to(grad_y[:, :, None, None] / grad_y.dtype.type(h * w), (n, c, h, w))
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: ForwardMode):

@@ -9,9 +9,13 @@ then a logits layer feeding softmax).
 steps.  The parameter plan is its flattened layers; ``forward_cached`` runs
 each step through the ``_KINDS`` table and records a (kind, layer names,
 cache) tape entry; ``backward`` walks the tape in reverse through the same
-table.  The walk stops at the lowest step that holds a layer not in
-``model.frozen`` (a live layer), and that step skips its input gradient,
-since nothing reads it: with nothing frozen this is the bottom conv, which
+table.  Every entry speaks the layer primitives' convention, the attention
+block included: a forward returns (y, cache), and a backward returns a tuple
+of the input gradient followed by the weight and bias gradient of each of
+the step's parameter layers, which ``backward`` pairs by name.  The walk
+stops at the lowest step that holds a layer not in ``model.frozen`` (a live
+layer), and that step skips its input gradient, since nothing reads it:
+with nothing frozen this is the bottom conv, which
 computes weight gradients only, and a frozen-backbone finetune runs only
 the head's backward.  Only live layers' gradients are returned.  A pass
 that no backward will follow (``forward``, ``trainer.evaluate``) keeps no
@@ -40,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attention import AttentionConfig, AttentionParams, ca_backward, ca_forward
+from .attention import AttentionConfig, ca_backward, ca_forward
 from .errors import ConfigError, ShapeError, TransferError, decode_config, encode_config
 from .layers import (
     ForwardMode,
@@ -259,22 +263,6 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     return Model(config=config, params=params)
 
 
-def _weight_grads(result):
-    grad, gw, gb = result
-    return grad, ((gw, gb),)
-
-
-def _attention_forward(x, reduce, expand):
-    y, _, cache = ca_forward(x, AttentionParams(reduce=reduce, expand=expand))
-    return y, cache
-
-
-def _attention_backward(cache, grad, input_grad=True):
-    # ca_backward always forms the input gradient; one nothing reads is dropped.
-    grad, g = ca_backward(cache, grad)
-    return (grad if input_grad else None), (g["reduce"], g["expand"])
-
-
 def _relu_maxpool_forward(x):
     # ReLU and the 2x2 max are both monotone, and np.maximum(v, 0) maps -0.0
     # to +0.0, so the ReLU of the pooled map has the bits of the pool of the
@@ -294,32 +282,37 @@ def _relu_maxpool_backward(cache, grad):
     # Every other element gets +0.0 either way.
     x, y = cache
     r, _ = relu_forward(x)
-    return maxpool2d_backward((r, y), grad * (y > 0)), ()
+    return (maxpool2d_backward((r, y), grad * (y > 0)),)
 
 
-# Step kind -> (forward, backward).  forward(x, *args) returns (y, cache);
-# backward(cache, grad) returns the input grad and one (weight, bias) grad
-# pair per parameter layer of the step.  The backward of a step with
-# parameters also takes ``input_grad=False``, which returns None for the
-# input grad.  The entries name the layer functions inside their bodies, so
-# they resolve through this module's attributes at call time and a wrapper
-# installed on ``attnens.model.<function>`` sees every call.
+# Step kind -> (forward, backward), in the layer primitives' convention.
+# forward(x, *args) returns (y, cache); backward(cache, grad) returns a
+# tuple: the input grad, then the weight and bias grad of each parameter
+# layer of the step, in order.  The backward of a step with parameters also
+# takes ``input_grad=False``, which may return None for the input grad; the
+# attention block ignores the flag and forms it anyway.  The entries name
+# the layer functions inside their bodies, so they resolve through this
+# module's attributes at call time and a wrapper installed on
+# ``attnens.model.<function>`` sees every call.
 _KINDS = {
     "conv": (
         lambda x, p: conv2d_forward(x, p),
-        lambda c, g, input_grad=True: _weight_grads(conv2d_backward(c, g, input_grad=input_grad)),
+        lambda c, g, input_grad=True: conv2d_backward(c, g, input_grad=input_grad),
     ),
-    "relu": (lambda x: relu_forward(x), lambda c, g: (relu_backward(c, g), ())),
+    "relu": (lambda x: relu_forward(x), lambda c, g: (relu_backward(c, g),)),
     "relu_maxpool": (_relu_maxpool_forward, _relu_maxpool_backward),
-    "attention": (_attention_forward, _attention_backward),
-    "gap": (lambda x: gap_forward(x), lambda c, g: (gap_backward(c, g), ())),
+    "attention": (
+        lambda x, reduce, expand: ca_forward(x, reduce, expand),
+        lambda c, g, input_grad=True: ca_backward(c, g),
+    ),
+    "gap": (lambda x: gap_forward(x), lambda c, g: (gap_backward(c, g),)),
     "dense": (
         lambda x, p: dense_forward(x, p),
-        lambda c, g, input_grad=True: _weight_grads(dense_backward(c, g, input_grad=input_grad)),
+        lambda c, g, input_grad=True: dense_backward(c, g, input_grad=input_grad),
     ),
     "dropout": (
         lambda x, rate, mode: dropout_forward(x, rate, mode),
-        lambda c, g: (dropout_backward(c, g), ()),
+        lambda c, g: (dropout_backward(c, g),),
     ),
 }
 
@@ -396,10 +389,10 @@ def backward(model: Model, tape, grad_logits: np.ndarray) -> dict[str, np.ndarra
     for depth in reversed(range(stop, len(tape))):
         kind, names, cache = tape[depth]
         if depth == stop:
-            grad, pairs = _KINDS[kind][1](cache, grad, input_grad=False)
+            grad, *layer_grads = _KINDS[kind][1](cache, grad, input_grad=False)
         else:
-            grad, pairs = _KINDS[kind][1](cache, grad)
-        for name, (gw, gb) in zip(names, pairs):
+            grad, *layer_grads = _KINDS[kind][1](cache, grad)
+        for name, gw, gb in zip(names, layer_grads[::2], layer_grads[1::2]):
             if name not in model.frozen:
                 grads[f"{name}.weight"] = gw
                 grads[f"{name}.bias"] = gb

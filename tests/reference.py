@@ -390,7 +390,7 @@ def sigmoid_split(x):
     return out
 
 
-def ca_forward_inline(x, p):
+def ca_forward_inline(x, reduce, expand):
     """The attention block with gap, dense, ReLU and sigmoid written inline.
 
     attention.ca_forward and ca_backward compose the same steps from the
@@ -398,27 +398,27 @@ def ca_forward_inline(x, p):
     Input checks are left out.
     """
     n, c, h, w = x.shape
-    cr = p.reduce.weights.shape[0]
-    wr = p.reduce.weights.reshape(cr, c)
-    we = p.expand.weights.reshape(c, cr)
+    cr = reduce.weights.shape[0]
+    wr = reduce.weights.reshape(cr, c)
+    we = expand.weights.reshape(c, cr)
 
     z = x.mean(axis=(2, 3))
-    u = z @ wr.T + p.reduce.bias
+    u = z @ wr.T + reduce.bias
     hidden = np.maximum(u, 0)
-    v = hidden @ we.T + p.expand.bias
+    v = hidden @ we.T + expand.bias
     s = sigmoid_split(v)
     y = x * s[:, :, None, None]
-    cache = (x, z, u, hidden, s, p)
+    cache = (x, z, u, hidden, s, reduce, expand)
     return y, s, cache
 
 
 def ca_backward_inline(cache, grad_y):
     """Gradients of ca_forward_inline w.r.t. the input and both parameter pairs."""
-    x, z, u, hidden, s, p = cache
+    x, z, u, hidden, s, reduce, expand = cache
     n, c, h, w = x.shape
-    cr = p.reduce.weights.shape[0]
-    wr = p.reduce.weights.reshape(cr, c)
-    we = p.expand.weights.reshape(c, cr)
+    cr = reduce.weights.shape[0]
+    wr = reduce.weights.reshape(cr, c)
+    we = expand.weights.reshape(c, cr)
 
     grad_s = (grad_y * x).sum(axis=(2, 3))
     grad_v = grad_s * s * (1.0 - s)
@@ -435,7 +435,7 @@ def ca_backward_inline(cache, grad_y):
         grad_z[:, :, None, None] / grad_y.dtype.type(h * w), x.shape
     )
     grads = {
-        "reduce": (grad_wr.reshape(p.reduce.weights.shape), grad_rb),
-        "expand": (grad_we.reshape(p.expand.weights.shape), grad_eb),
+        "reduce": (grad_wr.reshape(reduce.weights.shape), grad_rb),
+        "expand": (grad_we.reshape(expand.weights.shape), grad_eb),
     }
     return grad_x, grads

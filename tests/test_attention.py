@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attnens.attention import AttentionConfig, AttentionParams, ca_backward, ca_forward
+from attnens.attention import AttentionConfig, ca_backward, ca_forward
 from attnens.layers import LayerParams
 from attnens.errors import ConfigError, ShapeError
 from reference import attention_naive
@@ -15,9 +15,9 @@ def make_params(rng, channels, reduction=2, expand_bias=None):
     rb = rng.standard_normal(reduced) * 0.1
     ew = rng.standard_normal((channels, reduced, 1, 1)) * 0.5
     eb = np.zeros(channels) if expand_bias is None else np.full(channels, float(expand_bias))
-    return AttentionParams(
-        reduce=LayerParams(name="attn_reduce", weights=rw, bias=rb),
-        expand=LayerParams(name="attn_expand", weights=ew, bias=eb),
+    return (
+        LayerParams(name="attn_reduce", weights=rw, bias=rb),
+        LayerParams(name="attn_expand", weights=ew, bias=eb),
     )
 
 
@@ -26,68 +26,72 @@ class TestForward:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.standard_normal((2, 6, 4, 5))
-            p = make_params(rng, 6, reduction=3)
-            y, s, _ = ca_forward(x, p)
+            reduce, expand = make_params(rng, 6, reduction=3)
+            y, cache = ca_forward(x, reduce, expand)
             y_ref, s_ref = attention_naive(
-                x, p.reduce.weights, p.reduce.bias, p.expand.weights, p.expand.bias
+                x, reduce.weights, reduce.bias, expand.weights, expand.bias
             )
+            s = cache[4]
             np.testing.assert_allclose(y, y_ref, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(s, s_ref, rtol=1e-10)
 
     def test_gate_shape_one_scalar_per_channel(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 8, 5, 5))
-        y, s, _ = ca_forward(x, make_params(rng, 8))
+        y, cache = ca_forward(x, *make_params(rng, 8))
+        s = cache[4]
         assert s.shape == (3, 8)
         assert y.shape == x.shape
 
     def test_positive_bias_saturates_to_identity(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 4, 6, 6))
-        p = make_params(rng, 4, expand_bias=30.0)
+        reduce, expand = make_params(rng, 4, expand_bias=30.0)
         # zero the expand weights so the bias fully controls the gate
-        p = AttentionParams(
-            reduce=LayerParams(name="attn_reduce", weights=np.zeros_like(p.reduce.weights), bias=np.zeros_like(p.reduce.bias)),
-            expand=LayerParams(name="attn_expand", weights=np.zeros_like(p.expand.weights), bias=p.expand.bias),
+        y, cache = ca_forward(
+            x,
+            LayerParams(name="attn_reduce", weights=np.zeros_like(reduce.weights), bias=np.zeros_like(reduce.bias)),
+            LayerParams(name="attn_expand", weights=np.zeros_like(expand.weights), bias=expand.bias),
         )
-        y, s, _ = ca_forward(x, p)
+        s = cache[4]
         assert np.all(s > 1.0 - 1e-6)
         np.testing.assert_allclose(y, x, atol=1e-6)
 
     def test_negative_bias_annihilates(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 4, 6, 6))
-        p = AttentionParams(
-            reduce=LayerParams(name="attn_reduce", weights=np.zeros((2, 4, 1, 1)), bias=np.zeros(2)),
-            expand=LayerParams(name="attn_expand", weights=np.zeros((4, 2, 1, 1)), bias=np.full(4, -30.0)),
+        y, cache = ca_forward(
+            x,
+            LayerParams(name="attn_reduce", weights=np.zeros((2, 4, 1, 1)), bias=np.zeros(2)),
+            LayerParams(name="attn_expand", weights=np.zeros((4, 2, 1, 1)), bias=np.full(4, -30.0)),
         )
-        y, s, _ = ca_forward(x, p)
+        s = cache[4]
         assert np.all(s < 1e-12)
         np.testing.assert_allclose(y, np.zeros_like(x), atol=1e-10)
 
     def test_saturated_gradient_passes_straight_through(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 4, 3, 3))
-        p = AttentionParams(
-            reduce=LayerParams(name="attn_reduce", weights=np.zeros((2, 4, 1, 1)), bias=np.zeros(2)),
-            expand=LayerParams(name="attn_expand", weights=np.zeros((4, 2, 1, 1)), bias=np.full(4, 30.0)),
+        _, cache = ca_forward(
+            x,
+            LayerParams(name="attn_reduce", weights=np.zeros((2, 4, 1, 1)), bias=np.zeros(2)),
+            LayerParams(name="attn_expand", weights=np.zeros((4, 2, 1, 1)), bias=np.full(4, 30.0)),
         )
-        _, _, cache = ca_forward(x, p)
         g = rng.standard_normal(x.shape)
-        gx, _ = ca_backward(cache, g)
+        gx = ca_backward(cache, g)[0]
         np.testing.assert_allclose(gx, g, atol=1e-10)
 
     def test_backward_returns_both_param_grads(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 4, 4, 4))
-        p = make_params(rng, 4)
-        _, _, cache = ca_forward(x, p)
-        gx, grads = ca_backward(cache, np.ones_like(x))
+        reduce, expand = make_params(rng, 4)
+        _, cache = ca_forward(x, reduce, expand)
+        gx, gw_reduce, gb_reduce, gw_expand, gb_expand = ca_backward(cache, np.ones_like(x))
         assert gx.shape == x.shape
-        assert grads["reduce"][0].shape == p.reduce.weights.shape
-        assert grads["reduce"][1].shape == p.reduce.bias.shape
-        assert grads["expand"][0].shape == p.expand.weights.shape
-        assert grads["expand"][1].shape == p.expand.bias.shape
+        assert gw_reduce.shape == reduce.weights.shape
+        assert gb_reduce.shape == reduce.bias.shape
+        assert gw_expand.shape == expand.weights.shape
+        assert gb_expand.shape == expand.bias.shape
 
 
 class TestConfig:
@@ -98,16 +102,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AttentionConfig(channels=3, reduction=4)
 
+    @staticmethod
+    def forward_on_four_channels(reduce_shape, expand_shape):
+        reduce = LayerParams("attn_reduce", np.zeros(reduce_shape), np.zeros(reduce_shape[0]))
+        expand = LayerParams("attn_expand", np.zeros(expand_shape), np.zeros(expand_shape[0]))
+        return ca_forward(np.ones((2, 4, 3, 3)), reduce, expand)
+
     def test_params_reject_non_1x1_kernels(self):
         with pytest.raises(ShapeError):
-            AttentionParams(
-                reduce=LayerParams(name="attn_reduce", weights=np.zeros((2, 4, 3, 3)), bias=np.zeros(2)),
-                expand=LayerParams(name="attn_expand", weights=np.zeros((4, 2, 1, 1)), bias=np.zeros(4)),
-            )
+            self.forward_on_four_channels((2, 4, 3, 3), (4, 2, 1, 1))
+        with pytest.raises(ShapeError):
+            self.forward_on_four_channels((2, 4), (4, 2))
 
     def test_params_reject_bottleneck_mismatch(self):
         with pytest.raises(ShapeError):
-            AttentionParams(
-                reduce=LayerParams(name="attn_reduce", weights=np.zeros((2, 4, 1, 1)), bias=np.zeros(2)),
-                expand=LayerParams(name="attn_expand", weights=np.zeros((4, 3, 1, 1)), bias=np.zeros(4)),
-            )
+            self.forward_on_four_channels((2, 4, 1, 1), (4, 3, 1, 1))
+
+    def test_params_reject_an_expand_off_the_channel_count(self):
+        # One gate would broadcast over all four channels if nothing refused it.
+        with pytest.raises(ShapeError):
+            self.forward_on_four_channels((2, 4, 1, 1), (1, 2, 1, 1))

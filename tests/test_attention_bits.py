@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attnens.attention import AttentionParams, ca_backward, ca_forward
+from attnens.attention import ca_backward, ca_forward
 from attnens.layers import LayerParams, dense_backward, dense_forward
 from reference import ca_backward_inline, ca_forward_inline
 
@@ -47,27 +47,27 @@ def geometry(draw):
 @example(seed=0, dtype=np.float32, n=8, channels=(64, 4), h=6, w=6, non_finite=False)
 @example(seed=1, dtype=np.float64, n=1, channels=(1, 1), h=1, w=1, non_finite=False)
 @example(seed=2, dtype=np.float32, n=64, channels=(64, 1), h=2, w=3, non_finite=True)
+# A NaN meets a NaN in the last add of the input gradient, in the scalar
+# tail of NumPy's loop.
+@example(seed=1, dtype=np.float64, n=1, channels=(1, 1), h=3, w=3, non_finite=True)
 def test_attention_matches_inline_form(seed, dtype, n, channels, h, w, non_finite):
     c, reduction = channels
     cr = c // reduction
     rng = np.random.default_rng(seed)
     x = values(rng, dtype, (n, c, h, w), non_finite)
-    p = AttentionParams(
-        reduce=LayerParams("attn_reduce", values(rng, dtype, (cr, c, 1, 1), False),
-                           values(rng, dtype, (cr,), False)),
-        expand=LayerParams("attn_expand", values(rng, dtype, (c, cr, 1, 1), False),
-                           values(rng, dtype, (c,), False)),
-    )
+    reduce = LayerParams("attn_reduce", values(rng, dtype, (cr, c, 1, 1), False),
+                         values(rng, dtype, (cr,), False))
+    expand = LayerParams("attn_expand", values(rng, dtype, (c, cr, 1, 1), False),
+                         values(rng, dtype, (c,), False))
     grad_y = values(rng, dtype, (n, c, h, w), non_finite)
     with np.errstate(invalid="ignore", over="ignore"):
-        y, s, cache = ca_forward(x, p)
-        want_y, want_s, want_cache = ca_forward_inline(x, p)
-        grad_x, grads = ca_backward(cache, grad_y)
+        y, cache = ca_forward(x, reduce, expand)
+        want_y, want_s, want_cache = ca_forward_inline(x, reduce, expand)
+        grads = ca_backward(cache, grad_y)
         want_grad_x, want_grads = ca_backward_inline(want_cache, grad_y)
-    assert cache[4] is s
-    got = [y, s, grad_x, *grads["reduce"], *grads["expand"]]
+    got = [y, cache[4], *grads]
     want = [want_y, want_s, want_grad_x, *want_grads["reduce"], *want_grads["expand"]]
-    for g, wg in zip(got, want):
+    for g, wg in zip(got, want, strict=True):
         assert g.dtype == wg.dtype
         assert g.shape == wg.shape
         assert g.tobytes() == wg.tobytes()

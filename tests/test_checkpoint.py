@@ -175,6 +175,15 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="frozen"):
             load_checkpoint(str(p))
 
+    def test_history_not_an_object(self, model, tmp_path):
+        p = tmp_path / "m.aens"
+        raw = save_bytes(model, p)
+        header = raw[12 : 12 + struct.unpack_from("<I", raw, 8)[0]]
+        assert b'"history":{"epochs":2}' in header
+        p.write_bytes(with_header(raw, header.replace(b'"history":{"epochs":2}', b'"history":[1,2]')))
+        with pytest.raises(CheckpointError, match="history"):
+            load_checkpoint(str(p))
+
     def test_record_name_not_utf8(self, model, tmp_path):
         p = tmp_path / "m.aens"
         raw = save_bytes(model, p)

@@ -14,12 +14,18 @@ from attnens.data import (
     load_dataset,
     read_label_table,
 )
-from attnens.errors import ConfigError, IngestError, ManifestError, MissingBboxError, ShapeError
+from attnens.errors import (
+    ConfigError,
+    IngestError,
+    ManifestError,
+    MissingBboxError,
+    ShapeError,
+    decode_config,
+)
 from attnens.imageops import (
     AugmentConfig,
     AugmentDraw,
     augment,
-    augment_config_from_dict,
     augment_config_to_dict,
     draw_augment_params,
     resize_bilinear,
@@ -485,7 +491,7 @@ class TestAugment:
 
     def test_config_dict_round_trip(self):
         cfg = AugmentConfig(rotation_deg=12.5, h_flip=True, width_shift_frac=0.15, height_shift_frac=0.05)
-        assert augment_config_from_dict(augment_config_to_dict(cfg)) == cfg
+        assert decode_config(AugmentConfig, augment_config_to_dict(cfg), "augment config") == cfg
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

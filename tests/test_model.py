@@ -429,6 +429,27 @@ class TestForward:
         assert calls == [("dense_backward", "logits", True), ("dense_backward", "fc1", False)]
         assert set(grads) == {"fc1.weight", "fc1.bias", "logits.weight", "logits.bias"}
 
+    def test_every_step_backward_returns_input_then_planned_layer_grads(self):
+        # The tape convention: a step's backward returns the input gradient,
+        # then a weight and a bias gradient per parameter layer, in order.
+        config = desk_config(num_classes=5)
+        model = build_model(config, seed=0)
+        x = np.random.default_rng(5).random((2, 3, 48, 48)).astype(np.float32)
+        probs, tape = forward_cached(model, x, ForwardMode.train(0))
+        steps = list(model_module._steps(config))
+        assert [kind for kind, _ in steps] == [kind for kind, _, _ in tape]
+        grad = softmax_cross_entropy_grad(np.eye(5, dtype=np.float32)[[0, 3]], probs)
+        layer_grads = []
+        for (kind, layers), (_, _, cache) in zip(reversed(steps), reversed(tape)):
+            grad, *step_grads = model_module._KINDS[kind][1](cache, grad)
+            assert len(step_grads) == 2 * len(layers), kind
+            layer_grads = step_grads + layer_grads
+        assert grad.shape == x.shape
+        planned = model_module._layer_plan(config)
+        assert "attn_reduce" in [layer.name for layer in planned]
+        shapes = [shape for layer in planned for shape in (layer.weight_shape, layer.bias_shape)]
+        assert [g.shape for g in layer_grads] == shapes
+
     @pytest.mark.parametrize("attention", [True, False])
     def test_every_frozen_subset_returns_the_live_grads_bit_for_bit(self, attention):
         model = build_model(tiny_config(num_classes=4, attention=attention), seed=0)
