@@ -28,9 +28,15 @@ import struct
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import CheckpointError, ConfigError, UnsupportedVersionError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    UnsupportedVersionError,
+    decode_config,
+    encode_config,
+)
 from .layers import LayerParams
-from .model import Model, _layer_plan, config_from_dict, config_to_dict
+from .model import Model, ModelConfig, _layer_plan
 
 MAGIC = b"AENS"
 FORMAT_VERSION = 1
@@ -44,7 +50,7 @@ def save_model(model: Model, path, history_summary: dict | None = None) -> None:
     """Serialize a model (and optional training summary) to ``path``."""
     header = _canonical_json(
         {
-            "config": config_to_dict(model.config),
+            "config": encode_config(model.config),
             "frozen": sorted(model.frozen),
             "history": history_summary or {},
         }
@@ -116,7 +122,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         if not isinstance(header["history"], dict):
             raise CheckpointError("header 'history' must be a JSON object")
         try:
-            config = config_from_dict(header["config"])
+            config = decode_config(ModelConfig, header["config"], "model config")
         except ConfigError as e:
             raise CheckpointError(f"header config is invalid: {e}") from e
 

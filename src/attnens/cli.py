@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from .atomic import atomic_write
 from .checkpoint import load_checkpoint, load_model, save_model
@@ -41,26 +42,13 @@ from .errors import (
     PrecisionError,
     ShapeError,
     TransferError,
-    reject_unknown_keys,
+    decode_config,
+    encode_config,
 )
 from .gradcheck import audit_gradients
-from .model import (
-    FINETUNE_ALL,
-    FREEZE_BACKBONE,
-    build_model,
-    config_from_dict,
-    config_to_dict,
-    transfer,
-)
-from .synth import synth_spec_from_dict, synth_spec_to_dict, write_synth_dataset
-from .trainer import (
-    evaluate,
-    history_summary,
-    train,
-    train_config_from_dict,
-    train_config_to_dict,
-    write_history_csv,
-)
+from .model import FINETUNE_ALL, FREEZE_BACKBONE, ModelConfig, build_model, transfer
+from .synth import SynthSpec, write_synth_dataset
+from .trainer import TrainConfig, evaluate, history_summary, train, write_history_csv
 
 THREADS_ENV = "ATTN_ENS_THREADS"
 
@@ -98,43 +86,40 @@ def _load_json(path) -> dict:
     return loaded
 
 
-def _parse_run_config(raw: dict, context: str, restated: dict):
-    """Validate a run config; returns (seed, data_dir, out_dir, model, train).
+@dataclass(frozen=True)
+class RunConfig:
+    """A pretrain or finetune run config, as its JSON file spells it.
+
+    ``model`` is the model to build; a finetune restates the source
+    checkpoint's backbone and attention in it and gives the new head.
+    """
+
+    data_dir: str
+    out_dir: str
+    model: ModelConfig
+    seed: int = 0
+    train: TrainConfig = TrainConfig()
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
+
+def _run_config(path, restated: dict) -> RunConfig:
+    """Read the run config at ``path`` for the run ``restated`` describes.
 
     ``restated`` maps the keys a ``resolved_config.json`` snapshot adds
     (``command``, and finetune's ``from`` and ``policy``) to this run's
     values.  A config may hold those keys only with those values, so a
     snapshot replays as the run that wrote it and no other.
     """
-    reject_unknown_keys(
-        raw, {"seed", "data_dir", "out_dir", "model", "train", *restated}, context
-    )
+    raw = _load_json(path)
+    context = f"{restated['command']} config"
     for key, value in restated.items():
-        if key in raw and raw[key] != value:
-            raise ConfigError(f"{context}: {key} is {raw[key]!r}, this run's is {value!r}")
-    for key in ("data_dir", "out_dir", "model"):
-        if key not in raw:
-            raise ConfigError(f"{context}: missing required key {key!r}")
-    seed = raw.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"{context}: seed must be a non-negative int, got {seed!r}")
-    for key in ("data_dir", "out_dir"):
-        if not isinstance(raw[key], str):
-            raise ConfigError(f"{context}: {key} must be a string, got {raw[key]!r}")
-    model_config = config_from_dict(raw["model"])
-    train_config = train_config_from_dict(raw.get("train", {}))
-    return seed, raw["data_dir"], raw["out_dir"], model_config, train_config
-
-
-def _resolved_run_config(restated, seed, data_dir, out_dir, model_config, train_config):
-    return {
-        **restated,
-        "seed": seed,
-        "data_dir": str(data_dir),
-        "out_dir": str(out_dir),
-        "model": config_to_dict(model_config),
-        "train": train_config_to_dict(train_config),
-    }
+        given = raw.pop(key, value)
+        if given != value:
+            raise ConfigError(f"{context}: {key} is {given!r}, this run's is {value!r}")
+    return decode_config(RunConfig, raw, context)
 
 
 def _ensure_parent(path) -> None:
@@ -150,25 +135,33 @@ def _write_json(obj, path) -> None:
         f.write("\n")
 
 
-def _finish_training(model, history, out_dir, resolved) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    save_model(model, os.path.join(out_dir, "checkpoint.aens"), history_summary(history))
-    write_history_csv(history, os.path.join(out_dir, "history.csv"))
-    _write_json(resolved, os.path.join(out_dir, "resolved_config.json"))
+def _train_and_save(model, run: RunConfig, restated: dict) -> None:
+    """Train ``model`` on the run's splits, then write its checkpoint, its
+    ``history.csv`` and the ``resolved_config.json`` snapshot that replays it."""
+    train_set = load_dataset(run.data_dir, "train")
+    test_set = load_dataset(run.data_dir, "test")
+    model, history = train(model, train_set, test_set, run.train)
+    os.makedirs(run.out_dir, exist_ok=True)
+    checkpoint = os.path.join(run.out_dir, "checkpoint.aens")
+    save_model(model, checkpoint, history_summary(history))
+    write_history_csv(history, os.path.join(run.out_dir, "history.csv"))
+    _write_json(
+        {**restated, **encode_config(run)}, os.path.join(run.out_dir, "resolved_config.json")
+    )
     if history:
         last = history[-1]
         print(
             f"epoch {last.epoch}: train_loss={last.train_loss:.4f} "
             f"train_acc={last.train_acc:.4f} test_acc={last.test_acc:.4f}"
         )
-    print(f"wrote {os.path.join(out_dir, 'checkpoint.aens')}")
+    print(f"wrote {checkpoint}")
 
 
 def cmd_synth(args) -> int:
-    spec = synth_spec_from_dict(_load_json(args.spec))
+    spec = decode_config(SynthSpec, _load_json(args.spec), "synth spec")
     count = write_synth_dataset(spec, args.out)
     _write_json(
-        {"command": "synth", "spec": synth_spec_to_dict(spec)},
+        {"command": "synth", "spec": encode_config(spec)},
         os.path.join(args.out, "resolved_config.json"),
     )
     print(f"wrote {count} samples across {spec.num_classes} classes to {args.out}")
@@ -177,51 +170,34 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     restated = {"command": "pretrain"}
-    seed, data_dir, out_dir, model_config, train_config = _parse_run_config(
-        _load_json(args.config), "pretrain config", restated
-    )
-    train_set = load_dataset(data_dir, "train")
-    test_set = load_dataset(data_dir, "test")
-    model = build_model(model_config, seed)
-    model, history = train(model, train_set, test_set, train_config)
-    resolved = _resolved_run_config(
-        restated, seed, data_dir, out_dir, model_config, train_config
-    )
-    _finish_training(model, history, out_dir, resolved)
+    run = _run_config(args.config, restated)
+    _train_and_save(build_model(run.model, run.seed), run, restated)
     return 0
 
 
 def cmd_finetune(args) -> int:
     restated = {"command": "finetune", "from": args.source, "policy": args.policy}
-    seed, data_dir, out_dir, model_config, train_config = _parse_run_config(
-        _load_json(args.config), "finetune config", restated
-    )
+    run = _run_config(args.config, restated)
     source, _ = load_checkpoint(args.source)
-    if model_config.backbone != source.config.backbone:
+    if run.model.backbone != source.config.backbone:
         raise ConfigError(
             "finetune config backbone must restate the source checkpoint backbone"
         )
-    if model_config.attention != source.config.attention:
+    if run.model.attention != source.config.attention:
         raise ConfigError(
             "finetune config attention must restate the source checkpoint attention"
         )
     policy = FREEZE_BACKBONE if args.policy == "freeze" else FINETUNE_ALL
     model = transfer(
         source,
-        head=model_config.head,
-        num_classes=model_config.num_classes,
+        head=run.model.head,
+        num_classes=run.model.num_classes,
         policy=policy,
-        seed=seed,
-        input_size=model_config.input_size,
-        dropout_rate=model_config.dropout_rate,
+        seed=run.seed,
+        input_size=run.model.input_size,
+        dropout_rate=run.model.dropout_rate,
     )
-    train_set = load_dataset(data_dir, "train")
-    test_set = load_dataset(data_dir, "test")
-    model, history = train(model, train_set, test_set, train_config)
-    resolved = _resolved_run_config(
-        restated, seed, data_dir, out_dir, model_config, train_config
-    )
-    _finish_training(model, history, out_dir, resolved)
+    _train_and_save(model, run, restated)
     return 0
 
 

@@ -127,7 +127,11 @@ def _parse_bbox(row: dict, row_num: int):
 
 
 def _read_rows(path, required: set[str]) -> list[dict]:
-    """The rows of a CSV manifest whose header names every ``required`` column."""
+    """The rows of a CSV manifest whose header names every ``required`` column.
+
+    A row too short to hold every required column is refused: the reader
+    fills the missing fields with ``None``.
+    """
     try:
         f = open(path, newline="")
     except OSError as e:
@@ -137,9 +141,14 @@ def _read_rows(path, required: set[str]) -> list[dict]:
             reader = csv.DictReader(f)
             if reader.fieldnames is None or not required <= set(reader.fieldnames):
                 raise ManifestError(f"{path}: header must include columns {sorted(required)}")
-            return list(reader)
+            rows = list(reader)
         except (UnicodeDecodeError, csv.Error) as e:
             raise ManifestError(f"{path}: {e}") from e
+    for i, row in enumerate(rows, start=2):
+        missing = sorted(c for c in required if row[c] is None)
+        if missing:
+            raise ManifestError(f"{path} row {i}: missing {', '.join(missing)}")
+    return rows
 
 
 def _row_id(row: dict, where: str) -> str:
@@ -151,7 +160,7 @@ def _row_id(row: dict, where: str) -> str:
     U+2028) is refused here rather than breaking that file later.  So is an
     id holding a NUL byte, which no file name can contain.
     """
-    sid = (row["id"] or "").strip()
+    sid = row["id"].strip()
     if not sid:
         raise ManifestError(f"{where}: empty id")
     if "," in sid or sid.splitlines() != [sid]:
@@ -211,9 +220,6 @@ def read_label_table(csv_path) -> tuple[dict[str, int], tuple[str, ...]]:
     same rule load_dataset uses.  Returns (label_of_id, class_names).
     """
     rows = _read_rows(csv_path, {"id", "class_name"})
-    for i, row in enumerate(rows, start=2):
-        if row["class_name"] is None:
-            raise ManifestError(f"{csv_path} row {i}: missing class_name")
     names = tuple(sorted({row["class_name"] for row in rows}))
     index_of = {name: i for i, name in enumerate(names)}
     table: dict[str, int] = {}

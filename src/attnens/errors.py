@@ -1,4 +1,9 @@
-"""Exception types shared across the library, and the config-dataclass codec."""
+"""Exception types shared across the library, and the config-dataclass codec.
+
+Every JSON config (the model, the training run and its augmentation, the
+synthetic spec and the CLI's run config) is a frozen dataclass, read by
+``decode_config`` and written by ``encode_config``.
+"""
 
 from __future__ import annotations
 
@@ -55,13 +60,6 @@ class AlignmentError(ValueError):
     """Prediction matrices or label tables disagree on sample identity."""
 
 
-def reject_unknown_keys(mapping, allowed, context):
-    """Raise ConfigError if ``mapping`` contains keys outside ``allowed``."""
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}")
-
-
 def encode_config(config) -> dict:
     """JSON-ready dict of a config dataclass: nested configs become dicts,
     tuples become lists, in field order."""
@@ -82,13 +80,19 @@ def decode_config(cls, mapping, context: str):
     Keys are the field names; a field without a default is required.  Each
     value must match the field's annotation: ints for ``int`` (bools are
     refused), ints or floats for ``float``, lists for tuples, mappings for
-    nested configs and ``None`` only where the annotation allows it.
-    Anything else raises ConfigError naming the offending key.
+    nested configs and ``None`` only where the annotation allows it.  In a
+    list of configs, an int element stands for that config with only its
+    first field set: ``"backbone": [16, 32]`` reads as two conv blocks with
+    16 and 32 output channels.  The shorthand holds only inside a list, so a
+    bare int where one config is expected is refused.  Unknown keys and
+    anything else raise ConfigError naming the offending key.
     """
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context}: expected a mapping, got {type(mapping).__name__}")
     fields = dataclasses.fields(cls)
-    reject_unknown_keys(mapping, {f.name for f in fields}, context)
+    unknown = sorted(set(mapping) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {unknown}")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in fields:
@@ -108,6 +112,9 @@ def _decode(hint, value, where: str):
         # the dataclass itself.
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        if dataclasses.is_dataclass(args[0]):
+            first = dataclasses.fields(args[0])[0].name
+            value = [{first: v} if type(v) is int else v for v in value]
         return tuple(_decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if origin in (typing.Union, types.UnionType):
         if value is None:

@@ -208,6 +208,8 @@ def audit_gradients(seed: int = 0, corrupt: str | None = None) -> list[AuditRow]
     ``corrupt`` names a row whose measured error is inflated past tolerance,
     exercising the failure path end to end.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if corrupt is not None and corrupt not in _CHECKS:
         raise ConfigError(f"corrupt must be one of {sorted(_CHECKS)}, got {corrupt!r}")
     rows = []

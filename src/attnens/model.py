@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import AttentionConfig, ca_backward, ca_forward
-from .errors import ConfigError, ShapeError, TransferError, decode_config, encode_config
+from .errors import ConfigError, ShapeError, TransferError, encode_config
 from .layers import (
     ForwardMode,
     LayerParams,
@@ -449,10 +449,3 @@ def transfer(
 
 def config_to_dict(config: ModelConfig) -> dict:
     return encode_config(config)
-
-
-def config_from_dict(d) -> ModelConfig:
-    """Decode a model config; an int backbone block is short for {"out_channels": n}."""
-    if isinstance(d, dict) and isinstance(d.get("backbone"), list):
-        d = dict(d, backbone=[{"out_channels": b} if type(b) is int else b for b in d["backbone"]])
-    return decode_config(ModelConfig, d, "model config")

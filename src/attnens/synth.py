@@ -23,7 +23,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .data import Dataset, Sample, channel_major
-from .errors import ConfigError, decode_config, encode_config
+from .errors import ConfigError, encode_config
 from .ppm import write_ppm
 from .seeding import rng_for
 
@@ -192,7 +192,3 @@ def write_synth_dataset(spec: SynthSpec, out_dir) -> int:
 
 def synth_spec_to_dict(spec: SynthSpec) -> dict:
     return encode_config(spec)
-
-
-def synth_spec_from_dict(d) -> SynthSpec:
-    return decode_config(SynthSpec, d, "synth spec")

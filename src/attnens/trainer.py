@@ -19,7 +19,7 @@ import numpy as np
 from .atomic import atomic_write
 from .data import Dataset, float_image
 from .ensemble import PredictionMatrix
-from .errors import ConfigError, NumericError, ShapeError, decode_config, encode_config
+from .errors import ConfigError, NumericError, ShapeError
 from .imageops import AugmentConfig, augment, resize_bilinear
 from .layers import ForwardMode, LayerParams
 from .model import Model, backward, forward_cached
@@ -306,11 +306,3 @@ def history_summary(history: list[EpochStats]) -> dict:
         "final_train_acc": float(last.train_acc),
         "final_test_acc": float(last.test_acc),
     }
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    return encode_config(cfg)
-
-
-def train_config_from_dict(d) -> TrainConfig:
-    return decode_config(TrainConfig, d, "train config")

@@ -232,6 +232,41 @@ class TestTrainingRuns:
         assert "error:" in err and key in err
         assert not os.path.exists(out_dir)
 
+    @pytest.mark.parametrize("override,key", [
+        ({"seed": -1}, "seed"),
+        # An int stands for a config only inside a list of configs.
+        ({"model": dict(MODEL, attention=8)}, "attention"),
+    ])
+    def test_refused_run_config_value_exits_2(self, pipeline, capsys, override, key):
+        root = pipeline["root"]
+        out_dir = str(root / "refused_out")
+        payload = {"seed": 1, "data_dir": pipeline["source_data"], "out_dir": out_dir,
+                   "model": MODEL, "train": TRAIN, **override}
+        assert main(["pretrain", "--config", write_json(root / "refused.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not os.path.exists(out_dir)
+
+    def test_snapshot_holds_the_run_config_and_the_restated_keys(self, pipeline):
+        def snapshot_keys(checkpoint):
+            path = Path(os.path.dirname(checkpoint), "resolved_config.json")
+            return set(json.loads(path.read_text()))
+
+        run_keys = {"data_dir", "out_dir", "model", "seed", "train"}
+        assert snapshot_keys(pipeline["source_ckpt"]) == run_keys | {"command"}
+        for checkpoint in pipeline["runs"].values():
+            assert snapshot_keys(checkpoint) == run_keys | {"command", "from", "policy"}
+
+    def test_manifest_row_missing_class_name_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "labels.csv").write_text("id,split,class_name\na,train,x\nb,train\n")
+        cfg = write_json(tmp_path / "pretrain.json",
+                         {"data_dir": str(data), "out_dir": str(tmp_path / "out"),
+                          "model": MODEL})
+        assert main(["pretrain", "--config", cfg]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_json_exits_2(self, pipeline):
         path = pipeline["root"] / "broken.json"
         path.write_text("{not json")
@@ -490,6 +525,10 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "all 9 gradient checks passed" in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_corrupted_gradient_exits_3(self, capsys):
         assert main(["gradcheck", "--seed", "0", "--corrupt", "dense"]) == 3

@@ -191,6 +191,12 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_dataset(tmp_path)
 
+    def test_row_missing_a_required_column_names_it(self, tmp_path):
+        # csv fills a short row with None, which once reached sorted(class_names).
+        (tmp_path / "labels.csv").write_text("id,split,class_name\na,train,x\nb,train\n")
+        with pytest.raises(ManifestError, match="row 3: missing class_name"):
+            load_dataset(tmp_path)
+
     def test_duplicate_id_reports_row(self, tmp_path):
         self.write_dataset(tmp_path, ["a1,x,train", "a1,x,test"])
         with pytest.raises(ManifestError, match="row 3"):

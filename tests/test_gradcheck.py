@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attnens.errors import PrecisionError
+from attnens.errors import ConfigError, PrecisionError
 from attnens.gradcheck import (
     AUDIT_NAMES,
     TOLERANCE,
@@ -73,6 +73,11 @@ class TestAudit:
         b = audit_gradients(seed=3)
         for ra, rb in zip(a, b):
             assert ra.max_rel_err == rb.max_rel_err
+
+    def test_negative_seed_is_config_error(self):
+        # SeedSequence would refuse it with a bare ValueError.
+        with pytest.raises(ConfigError, match="seed"):
+            audit_gradients(seed=-1)
 
     def test_corrupt_hook_fails_named_row(self):
         rows = audit_gradients(seed=0, corrupt="dense")

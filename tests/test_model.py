@@ -9,7 +9,13 @@ import pytest
 
 import attnens.model as model_module
 from attnens.data import Dataset, Sample
-from attnens.errors import ConfigError, ShapeError, TransferError
+from attnens.errors import (
+    ConfigError,
+    ShapeError,
+    TransferError,
+    decode_config,
+    encode_config,
+)
 from attnens.layers import ForwardMode
 from attnens.model import (
     FINETUNE_ALL,
@@ -19,8 +25,6 @@ from attnens.model import (
     ModelConfig,
     backward,
     build_model,
-    config_from_dict,
-    config_to_dict,
     desk_config,
     forward,
     forward_cached,
@@ -85,19 +89,19 @@ class TestConfigValidation:
 
     def test_round_trip_dict(self):
         cfg = tiny_config()
-        again = config_from_dict(config_to_dict(cfg))
+        again = decode_config(ModelConfig, encode_config(cfg), "model config")
         assert again == cfg
 
     def test_from_dict_rejects_unknown_keys(self):
-        d = config_to_dict(tiny_config())
+        d = encode_config(tiny_config())
         d["bogus"] = 1
         with pytest.raises(ConfigError):
-            config_from_dict(d)
+            decode_config(ModelConfig, d, "model config")
 
     def test_from_dict_accepts_int_backbone_shorthand(self):
-        d = config_to_dict(tiny_config())
+        d = encode_config(tiny_config())
         d["backbone"] = [8, 12]
-        cfg = config_from_dict(d)
+        cfg = decode_config(ModelConfig, d, "model config")
         assert cfg.backbone == tiny_config().backbone
 
 

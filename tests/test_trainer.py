@@ -9,7 +9,7 @@ import pytest
 import attnens.model as model_module
 import attnens.trainer as trainer_module
 from attnens.data import Dataset, Sample, crop_bbox
-from attnens.errors import ConfigError, NumericError, ShapeError
+from attnens.errors import ConfigError, NumericError, ShapeError, decode_config, encode_config
 from attnens.imageops import AugmentConfig
 from attnens.layers import ForwardMode
 from attnens.model import (
@@ -33,8 +33,6 @@ from attnens.trainer import (
     sgd_momentum_step,
     softmax_cross_entropy_grad,
     train,
-    train_config_from_dict,
-    train_config_to_dict,
     write_history_csv,
 )
 from attnens.synth import SynthSpec, synth_dataset
@@ -490,13 +488,13 @@ class TestTrainConfigSerialization:
             augment=AugmentConfig(rotation_deg=10, h_flip=False, width_shift_frac=0.05,
                                   height_shift_frac=0.0),
         )
-        assert train_config_from_dict(train_config_to_dict(cfg)) == cfg
+        assert decode_config(TrainConfig, encode_config(cfg), "train config") == cfg
 
     def test_unknown_keys_rejected(self):
-        d = train_config_to_dict(quick_cfg())
+        d = encode_config(quick_cfg())
         d["warmup"] = 3
         with pytest.raises(ConfigError):
-            train_config_from_dict(d)
+            decode_config(TrainConfig, d, "train config")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
