@@ -1,10 +1,21 @@
 """Resize and augmentation match the four-corner gather oracles bit for bit."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attnens.imageops import AugmentConfig, AugmentDraw, augment, resize_bilinear
+from attnens.data import float_image
+from attnens.experiments import BENCH_AUGMENT
+from attnens.imageops import (
+    AugmentConfig,
+    AugmentDraw,
+    augment,
+    draw_augment_params,
+    resize_bilinear,
+)
 from reference import augment_gather, resize_bilinear_gather
 
 DTYPES = st.sampled_from([np.float32, np.float64])
@@ -62,3 +73,44 @@ def test_augment_matches_gather(seed, dtype, c, h, w, draw, non_finite):
             augment(image, AugmentConfig(), seed=0, draw=draw),
             augment_gather(image, draw.angle_deg, draw.flip, draw.shift_x_frac, draw.shift_y_frac),
         )
+
+
+@pytest.mark.parametrize("cfg", [BENCH_AUGMENT, AugmentConfig()], ids=["bench", "default"])
+def test_augment_matches_gather_on_pipeline_draws(cfg):
+    # The draws and the 48x48 uint8-scaled images the training pipeline
+    # runs, pinned by seed rather than left to the examples drawn above.
+    rng = np.random.default_rng(20)
+    for seed in range(200):
+        image = float_image(rng.integers(0, 256, (3, 48, 48), dtype=np.uint8))
+        draw = draw_augment_params(cfg, seed)
+        assert_same_bits(
+            augment(image, cfg, seed),
+            augment_gather(image, draw.angle_deg, draw.flip, draw.shift_x_frac, draw.shift_y_frac),
+        )
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 5), (0, 4, 4)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_augment_keeps_an_empty_image_empty(shape, dtype):
+    out = augment(np.zeros(shape, dtype), AugmentConfig(), seed=0,
+                  draw=AugmentDraw(10.0, True, 0.1, -0.1))
+    assert out.shape == shape and out.dtype == dtype
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [AugmentDraw(180.0, True, 1.0, -1.0), draw_augment_params(BENCH_AUGMENT, 3)],
+    ids=["extreme", "bench"],
+)
+def test_augment_memory_is_bounded(draw):
+    # The resample holds a few image-sized arrays at once, 10.67x the
+    # image's bytes at 512x512 with clamped and masked corners.  A border
+    # wide enough for every draw would take several times the image.
+    image = np.random.default_rng(0).random((3, 512, 512), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        augment(image, AugmentConfig(), seed=0, draw=draw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * image.nbytes
