@@ -7,18 +7,29 @@ ensembles.  See the demos directory for narrative walkthroughs.
 """
 
 import os as _os
+import sys as _sys
 
 # Cap BLAS thread pools before numpy is first imported anywhere in the
 # package.  0 or unset leaves the backend's own default in place.
+_BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
 _threads = _os.environ.get("ATTN_ENS_THREADS", "").strip()
 if _threads.isascii() and _threads.isdigit() and _threads != "0":
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
+    for _var in _BLAS_THREAD_VARS:
         _os.environ.setdefault(_var, _threads)
+
+# Whether the cap holds BLAS to one thread: it is 1, no variable was already
+# set to another count, and numpy had not loaded BLAS before the cap was set.
+# trainer.evaluate then splits its batches over the idle cores.
+_one_blas_thread = (
+    _threads == "1"
+    and "numpy" not in _sys.modules
+    and all(_os.environ[_var] == "1" for _var in _BLAS_THREAD_VARS)
+)
 
 from .attention import AttentionConfig, ca_backward, ca_forward
 from .checkpoint import load_checkpoint, load_model, save_model

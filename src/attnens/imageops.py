@@ -145,6 +145,14 @@ class AugmentConfig:
             if not 0.0 <= frac <= 1.0:
                 raise ConfigError(f"{label} must lie in [0, 1], got {frac}")
 
+    def draws_only_identity(self) -> bool:
+        return (
+            self.rotation_deg == 0.0
+            and not self.h_flip
+            and self.width_shift_frac == 0.0
+            and self.height_shift_frac == 0.0
+        )
+
     @classmethod
     def none(cls) -> "AugmentConfig":
         return cls(rotation_deg=0.0, h_flip=False, width_shift_frac=0.0, height_shift_frac=0.0)
@@ -187,12 +195,16 @@ def augment(
     """Apply rotation, then flip, then shifts, as a single bilinear resample.
 
     Deterministic in (image, cfg, seed); pass ``draw`` to pin the sampled
-    parameters directly (used to force specific transforms in tests).
+    parameters directly (used to force specific transforms in tests).  A
+    config that can only draw the identity (``AugmentConfig.none()``) skips
+    the draw.
     Output values are clamped to [0, 1], except after an identity draw,
     which returns an unclamped copy of the image, as does an empty image.
     """
     _check_float_image(image)
     if draw is None:
+        if cfg.draws_only_identity():
+            return image.copy()
         draw = draw_augment_params(cfg, seed)
     if draw.is_identity() or image.size == 0:
         return image.copy()

@@ -11,11 +11,13 @@ The loss gradient with respect to the logits is computed in closed form as
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _one_blas_thread
 from .atomic import atomic_write
 from .data import Dataset, float_image
 from .ensemble import PredictionMatrix
@@ -261,27 +263,132 @@ def evaluate(
     input the bottom conv's patch matrix is 4 MB, against 16 MB at a batch
     of 64.  Whether an image's probability bits depend on the batch size is
     up to the BLAS kernels (README, "Memory").
+
+    The batches may be split into contiguous shares over the idle cores
+    (``_eval_processes`` has the rule): the caller runs the first share and
+    a forked child runs each other one.  A batch keeps its images and its
+    kernels wherever it runs, so the probabilities keep their bits, and the
+    first batch to fail raises its own error in the caller, because a child
+    sends back only the batches before its first failure and the caller runs
+    the rest of that share itself.
     """
     _check_class_space(model, dataset, "eval")
     if len(dataset) == 0:
         raise ConfigError("evaluation set is empty")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    chunks = []
-    for start in range(0, len(dataset), batch_size):
-        # Scale and resize one batch at a time; train resizes up front
-        # because it revisits its images every epoch.
-        samples = dataset.samples[start : start + batch_size]
-        images = _resized_images(samples, model.config.input_size)
-        batch = np.stack([float_image(image) for image in images])
-        batch = batch.astype(np.float32, copy=False)
-        probs, _ = forward_cached(model, batch, ForwardMode.eval(), False)
-        chunks.append(probs)
+    # Each batch is scaled and resized just before its forward pass; train
+    # resizes up front because it revisits its images every epoch.
+    batches = [
+        dataset.samples[start : start + batch_size]
+        for start in range(0, len(dataset), batch_size)
+    ]
+    processes = _eval_processes(len(batches))
+    if processes == 1:
+        chunks = [_batch_probs(model, samples) for samples in batches]
+    else:
+        chunks = _split_probs(model, batches, processes)
     probs = np.concatenate(chunks, axis=0)
     labels = dataset.labels()
     acc = float((probs.argmax(axis=1) == labels).mean())
     matrix = PredictionMatrix(model_name, dataset.sample_ids(), probs.astype(np.float64))
     return acc, matrix
+
+
+def _batch_probs(model: Model, samples) -> np.ndarray:
+    """Eval-mode probabilities of one batch of samples."""
+    images = _resized_images(samples, model.config.input_size)
+    batch = np.stack([float_image(image) for image in images]).astype(np.float32, copy=False)
+    probs, _ = forward_cached(model, batch, ForwardMode.eval(), False)
+    return probs
+
+
+def _eval_processes(batches: int) -> int:
+    """How many processes ``evaluate`` splits ``batches`` batches over.
+
+    ``min(batches, CPUs in the affinity mask)`` when the package pinned BLAS
+    to one thread (``ATTN_ENS_THREADS=1`` before numpy loaded; with more
+    BLAS threads per process the split would oversubscribe the cores), the
+    ``fork`` start method exists, the caller runs a single Python thread
+    (forking a threaded process can copy a held lock) and is not a daemonic
+    ``multiprocessing`` worker (which may not start children); otherwise 1.
+    """
+    if not _one_blas_thread or not hasattr(os, "sched_getaffinity"):
+        return 1
+    processes = min(batches, len(os.sched_getaffinity(0)))
+    if processes == 1:
+        return 1
+    import multiprocessing
+    import threading
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return processes
+
+
+def _split_probs(model: Model, batches: list, processes: int) -> list[np.ndarray]:
+    """Each batch's probabilities, the batches split over ``processes`` processes.
+
+    The shares are contiguous and differ by at most one batch; the caller
+    runs the first (the smallest) while forked children run the others.
+    Every child is joined on every path: on an error or an interrupt it is
+    killed first, so none is left running.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    bounds = [len(batches) * i // processes for i in range(processes + 1)]
+    shares = [batches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            # The fork Popen flushes stdout and stderr before forking, so no
+            # buffered line is printed twice.
+            child = context.Process(target=_send_share_probs, args=(model, share, sender))
+            child.start()
+            children.append((child, receiver))
+            sender.close()
+        chunks = [_batch_probs(model, samples) for samples in shares[0]]
+        for (_, receiver), share in zip(children, shares[1:]):
+            try:
+                done = receiver.recv()
+            except EOFError:
+                done = []
+            chunks += done
+            # A batch the child did not send failed there (or the child died):
+            # running it here raises its error, or recovers its probabilities.
+            chunks += [_batch_probs(model, samples) for samples in share[len(done) :]]
+        for child, _ in children:
+            child.join()
+        return chunks
+    finally:
+        # A child that has exited is joined already, and kill skips it.  The
+        # pipe closes last, so no child still sending meets a closed pipe.
+        for child, receiver in children:
+            child.kill()
+            child.join()
+            receiver.close()
+
+
+def _send_share_probs(model: Model, share: list, sender) -> None:
+    """A child's work: send the probabilities of its batches up to the first failure."""
+    import signal
+
+    # On Ctrl-C the caller stops waiting and kills its children.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    done = []
+    try:
+        for samples in share:
+            done.append(_batch_probs(model, samples))
+    except Exception:
+        pass  # the caller runs the failed batch itself and raises its error
+    sender.send(done)
+    sender.close()
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

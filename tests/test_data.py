@@ -30,6 +30,7 @@ from attnens.imageops import (
     draw_augment_params,
     resize_bilinear,
 )
+import attnens.imageops as imageops_module
 import attnens.ppm as ppm_module
 from attnens.ppm import read_ppm, write_ppm
 from attnens.synth import SynthSpec, class_recipe, synth_dataset, write_synth_dataset
@@ -452,6 +453,23 @@ class TestAugment:
         img = np.random.default_rng(0).random((3, 8, 8))
         out = augment(img, AugmentConfig.none(), seed=0)
         np.testing.assert_array_equal(out, img)
+        assert out is not img
+
+    def test_no_augmentation_skips_the_draw(self, monkeypatch):
+        # AugmentConfig.none() can only draw the identity, so augment returns
+        # the copy that draw would lead to without drawing; values outside
+        # [0, 1] stay unclipped, as after any identity draw.
+        assert all(
+            draw_augment_params(AugmentConfig.none(), seed).is_identity() for seed in range(200)
+        )
+
+        def refuse(*args):
+            raise AssertionError("drew parameters")
+
+        monkeypatch.setattr(imageops_module, "draw_augment_params", refuse)
+        img = np.random.default_rng(4).normal(size=(3, 8, 8)).astype(np.float32)
+        out = augment(img, AugmentConfig.none(), seed=0)
+        assert out.tobytes() == img.tobytes()
         assert out is not img
 
     def test_flip_only_draw_is_exact(self):

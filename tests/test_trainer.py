@@ -357,7 +357,9 @@ class TestEvaluate:
 
     def test_resizes_one_batch_at_a_time(self, monkeypatch):
         # Each batch is resized just before its forward pass, so no more than
-        # one batch of resized copies is alive at once.
+        # one batch of resized copies is alive at once.  The events are
+        # counted in this process, so the batches are not split over children.
+        monkeypatch.setattr(trainer_module, "_eval_processes", lambda batches: 1)
         events = []
         original_resize = trainer_module.resize_bilinear
         original_forward = trainer_module.forward_cached
