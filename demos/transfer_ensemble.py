@@ -40,18 +40,17 @@ def main():
     base, history = train(base, src_train, src_test, cfg_for(seed=0, epochs=8))
     print(f"pretrained source accuracy: {history[-1].test_acc:.3f}\n")
 
+    target_config = replace(base.config, head=(128,), num_classes=target.num_classes)
     print("fine-tuning policies on the target task:")
     for policy in (FREEZE_BACKBONE, FINETUNE_ALL):
-        model = transfer(base, head=(128,), num_classes=target.num_classes,
-                         policy=policy, seed=1)
+        model = transfer(base, target_config, policy, 1)
         model, hist = train(model, tgt_train, tgt_test, cfg_for(seed=1, epochs=8))
         print(f"  {policy:<16} target accuracy {hist[-1].test_acc:.3f}")
 
     print("\nseed-varied members (backbone fine-tuned):")
     members = []
     for seed in range(4):
-        model = transfer(base, head=(128,), num_classes=target.num_classes,
-                         policy=FINETUNE_ALL, seed=seed)
+        model = transfer(base, target_config, FINETUNE_ALL, seed)
         model, _ = train(model, tgt_train, tgt_test, cfg_for(seed=seed, epochs=8))
         acc, matrix = evaluate(model, tgt_test, model_name=f"member{seed}")
         members.append((matrix, acc))

@@ -46,7 +46,7 @@ from .errors import (
     encode_config,
 )
 from .gradcheck import audit_gradients
-from .model import FINETUNE_ALL, FREEZE_BACKBONE, ModelConfig, build_model, transfer
+from .model import FINETUNE_ALL, POLICIES, ModelConfig, build_model, transfer
 from .synth import SynthSpec, write_synth_dataset
 from .trainer import TrainConfig, evaluate, history_summary, train, write_history_csv
 
@@ -179,24 +179,7 @@ def cmd_finetune(args) -> int:
     restated = {"command": "finetune", "from": args.source, "policy": args.policy}
     run = _run_config(args.config, restated)
     source, _ = load_checkpoint(args.source)
-    if run.model.backbone != source.config.backbone:
-        raise ConfigError(
-            "finetune config backbone must restate the source checkpoint backbone"
-        )
-    if run.model.attention != source.config.attention:
-        raise ConfigError(
-            "finetune config attention must restate the source checkpoint attention"
-        )
-    policy = FREEZE_BACKBONE if args.policy == "freeze" else FINETUNE_ALL
-    model = transfer(
-        source,
-        head=run.model.head,
-        num_classes=run.model.num_classes,
-        policy=policy,
-        seed=run.seed,
-        input_size=run.model.input_size,
-        dropout_rate=run.model.dropout_rate,
-    )
+    model = transfer(source, run.model, args.policy, run.seed)
     _train_and_save(model, run, restated)
     return 0
 
@@ -301,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True, help="source checkpoint")
     p.add_argument(
         "--policy",
-        choices=("freeze", "all"),
-        default="all",
+        choices=POLICIES,
+        default=FINETUNE_ALL,
         help="freeze the copied backbone or finetune everything",
     )
     p.set_defaults(func=cmd_finetune)

@@ -31,6 +31,12 @@ BENCH_AUGMENT = AugmentConfig(
 BENCH_LR = 0.02
 BENCH_BATCH = 8
 BENCH_DROPOUT = 0.2
+# Each ensemble trial combines a window of 4 consecutive attention finetunes,
+# so the pool holds N_TRIALS + 3 of them; the first N_SEEDS are also scored
+# against as many control finetunes.
+N_SEEDS = 5
+N_TRIALS = 5
+POOL_SIZE = N_TRIALS + 3
 
 
 @dataclass(frozen=True)
@@ -68,13 +74,7 @@ def _train_config(shuffle_seed: int, epochs: int) -> TrainConfig:
     )
 
 
-def run_transfer_benchmark(
-    base_seed: int = 0,
-    epochs: int = 20,
-    n_seeds: int = 5,
-    n_trials: int = 5,
-    pool_size: int = 8,
-) -> TransferBenchmark:
+def run_transfer_benchmark(base_seed: int = 0, epochs: int = 20) -> TransferBenchmark:
     """Run the full pretrain/transfer/ensemble study; see module docstring.
 
     The ensemble trials choose with the labels they are scored on: each
@@ -108,13 +108,9 @@ def run_transfer_benchmark(
 
     def finetune(label: str, index: int):
         seed = derive_seed(base_seed, "finetune", label, index)
-        model = transfer(
-            pretrained[label],
-            head=(128,),
-            num_classes=TARGET_SPEC.num_classes,
-            policy=FINETUNE_ALL,
-            seed=seed,
-        )
+        source = pretrained[label]
+        config = replace(source.config, head=(128,), num_classes=TARGET_SPEC.num_classes)
+        model = transfer(source, config, FINETUNE_ALL, seed)
         model, _ = train(
             model,
             target_train,
@@ -124,16 +120,16 @@ def run_transfer_benchmark(
         acc, matrix = evaluate(model, target_test, model_name=f"{label}_{index}")
         return acc, matrix
 
-    attention_runs = [finetune("attn", i) for i in range(pool_size)]
-    control_runs = [finetune("ctrl", i) for i in range(n_seeds)]
+    attention_runs = [finetune("attn", i) for i in range(POOL_SIZE)]
+    control_runs = [finetune("ctrl", i) for i in range(N_SEEDS)]
 
-    attention_accs = tuple(acc for acc, _ in attention_runs[:n_seeds])
+    attention_accs = tuple(acc for acc, _ in attention_runs[:N_SEEDS])
     control_accs = tuple(acc for acc, _ in control_runs)
 
     labels = target_test.labels()
     ensemble_accs = []
     gains = []
-    for trial in range(n_trials):
+    for trial in range(N_TRIALS):
         members: list[tuple[PredictionMatrix, float]] = []
         window = attention_runs[trial : trial + 4]
         ranked = select_best_k([(m.model_name, acc) for acc, m in window], k=4)

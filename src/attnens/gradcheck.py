@@ -52,13 +52,9 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def grad_check(f, x: np.ndarray, analytic, h: float = DEFAULT_H) -> float:
-    """Max relative error between an analytic gradient and central differences.
-
-    ``analytic`` is the gradient array itself or a callable evaluated at x.
-    """
-    analytic_grad = analytic(x) if callable(analytic) else analytic
-    return relative_error(analytic_grad, numeric_gradient(f, x, h))
+def grad_check(f, x: np.ndarray, analytic: np.ndarray, h: float = DEFAULT_H) -> float:
+    """Max relative error between an analytic gradient and central differences."""
+    return relative_error(analytic, numeric_gradient(f, x, h))
 
 
 def _away_from_zero(x: np.ndarray, margin: float = KINK_MARGIN) -> np.ndarray:

@@ -65,8 +65,8 @@ from .layers import (
 )
 from .seeding import derive_seed
 
-FREEZE_BACKBONE = "freeze_backbone"
-FINETUNE_ALL = "finetune_all"
+FREEZE_BACKBONE = "freeze"
+FINETUNE_ALL = "all"
 POLICIES = (FREEZE_BACKBONE, FINETUNE_ALL)
 
 
@@ -399,37 +399,30 @@ def backward(model: Model, tape, grad_logits: np.ndarray) -> dict[str, np.ndarra
     return grads
 
 
-def transfer(
-    source: Model,
-    head: tuple[int, ...],
-    num_classes: int,
-    policy: str,
-    seed: int,
-    input_size: tuple[int, int, int] | None = None,
-    dropout_rate: float | None = None,
-) -> Model:
+def transfer(source: Model, config: ModelConfig, policy: str, seed: int) -> Model:
     """Graft a trained backbone onto a fresh head for a new label space.
 
     ``source`` is a trained ``Model``, in memory or from ``load_checkpoint``;
-    its frozen set is not carried over.  Backbone and attention parameters
-    are copied verbatim; head layers are re-initialized from ``seed``.  With
-    the 'freeze_backbone' policy the copied layers are marked frozen so
-    training leaves them untouched.
+    its frozen set is not carried over.  ``config`` is the whole target
+    model: it must restate the source's backbone and attention, or a
+    ``TransferError`` names the part that differs, and it sets the head,
+    the class count, the input size and the dropout rate.  Backbone and
+    attention parameters are copied verbatim, and a copied layer whose shape
+    the config changes (through the input channel count) is refused with a
+    ``TransferError``; head layers are re-initialized from ``seed``.  With
+    the ``FREEZE_BACKBONE`` policy the copied layers are marked frozen so
+    training leaves them untouched; ``FINETUNE_ALL`` trains everything.
     """
     if policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
-    new_config = replace(
-        source.config,
-        head=tuple(head),
-        num_classes=num_classes,
-        input_size=tuple(input_size) if input_size is not None else source.config.input_size,
-        dropout_rate=source.config.dropout_rate if dropout_rate is None else dropout_rate,
-    )
+    for part in ("backbone", "attention"):
+        if getattr(config, part) != getattr(source.config, part):
+            raise TransferError(f"config {part} must restate the source checkpoint {part}")
     source_params = {p.name: p for p in source.params}
     rng = np.random.default_rng(seed)
     params = []
     frozen = []
-    for planned in _layer_plan(new_config):
+    for planned in _layer_plan(config):
         if planned.backbone:
             src = source_params.get(planned.name)
             if src is None:
@@ -444,7 +437,7 @@ def transfer(
                 frozen.append(planned.name)
         else:
             params.append(_init_layer(planned, rng))
-    return Model(config=new_config, params=tuple(params), frozen=frozenset(frozen))
+    return Model(config=config, params=tuple(params), frozen=frozenset(frozen))
 
 
 def config_to_dict(config: ModelConfig) -> dict:

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +71,8 @@ class TestRoundTrip:
         assert p.read_bytes()[4:8] == FORMAT_VERSION.to_bytes(4, "little")
 
     def test_frozen_set_survives(self, model, tmp_path):
-        dst = transfer(model, head=(128,), num_classes=6, policy=FREEZE_BACKBONE, seed=0)
+        config = replace(model.config, head=(128,), num_classes=6)
+        dst = transfer(model, config, FREEZE_BACKBONE, 0)
         p = tmp_path / "f.aens"
         save_model(dst, str(p), history_summary={})
         again = load_model(str(p))
@@ -84,15 +86,18 @@ class TestRoundTrip:
             np.testing.assert_array_equal(again.param(name).weights, model.param(name).weights)
             np.testing.assert_array_equal(again.param(name).bias, model.param(name).bias)
 
-    @pytest.mark.parametrize("policy", [FREEZE_BACKBONE, FINETUNE_ALL])
+    @pytest.mark.parametrize(
+        "policy", [FREEZE_BACKBONE, FINETUNE_ALL], ids=["freeze_backbone", "finetune_all"]
+    )
     def test_transfer_from_loaded_model_matches_in_memory(self, model, tmp_path, policy):
         # `attnens finetune` grafts a model read back from disk; the library
         # and the demos graft one held in memory.
         p = tmp_path / "m.aens"
         save_bytes(model, p)
         loaded, _ = load_checkpoint(str(p))
-        kwargs = dict(head=(16,), num_classes=3, policy=policy, seed=5)
-        got, want = transfer(loaded, **kwargs), transfer(model, **kwargs)
+        changes = dict(head=(16,), num_classes=3)
+        got = transfer(loaded, replace(loaded.config, **changes), policy, 5)
+        want = transfer(model, replace(model.config, **changes), policy, 5)
         assert got.config == want.config
         assert got.frozen == want.frozen
         assert [(q.name, q.weights.tobytes(), q.bias.tobytes()) for q in got.params] == [

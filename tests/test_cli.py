@@ -192,6 +192,18 @@ class TestTrainingRuns:
         assert code == 2
         assert "backbone" in capsys.readouterr().err
 
+    def test_finetune_attention_mismatch_exits_2(self, pipeline, capsys):
+        other = dict(MODEL, attention={"channels": 8, "reduction": 2})
+        cfg = write_json(pipeline["root"] / "attention_mismatch.json",
+                         {"seed": 2, "data_dir": pipeline["target_data"],
+                          "out_dir": str(pipeline["root"] / "am"),
+                          "model": other, "train": TRAIN})
+        code = main(["finetune", "--config", cfg, "--from", pipeline["source_ckpt"],
+                     "--policy", "all"])
+        assert code == 2
+        assert "attention" in capsys.readouterr().err
+        assert not os.path.exists(pipeline["root"] / "am")
+
     def test_config_missing_key_exits_2(self, pipeline, capsys):
         cfg = write_json(pipeline["root"] / "incomplete.json",
                          {"seed": 1, "model": MODEL})

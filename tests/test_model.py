@@ -178,7 +178,8 @@ class TestInitDigest:
 
     def test_transferred_head_initial_weights(self):
         source = build_model(desk_config(6), seed=0)
-        model = transfer(source, head=(128,), num_classes=5, policy=FREEZE_BACKBONE, seed=1)
+        config = replace(source.config, head=(128,), num_classes=5)
+        model = transfer(source, config, FREEZE_BACKBONE, 1)
         assert params_digest(model) == (
             "320ca670f8f192f96199b9003e258fb8b2d7b083bee56ed68039ebda65271165"
         )
@@ -377,7 +378,7 @@ class TestForward:
             backbone=(ConvBlockConfig(out_channels=8), ConvBlockConfig(12, pool=False)),
         )
         src = build_model(config, seed=0)
-        model = transfer(src, head=(16,), num_classes=4, policy=FREEZE_BACKBONE, seed=1)
+        model = transfer(src, replace(src.config, head=(16,), num_classes=4), FREEZE_BACKBONE, 1)
         x = np.random.default_rng(4).random((2, 3, 16, 16)).astype(np.float32)
         forward(model, x)
         probs, tape = forward_cached(model, x, ForwardMode.train(0))
@@ -425,7 +426,7 @@ class TestForward:
 
         monkeypatch.setattr(model_module, "dense_backward", recording_dense)
         src = build_model(tiny_config(num_classes=4), seed=0)
-        model = transfer(src, head=(16,), num_classes=4, policy=FREEZE_BACKBONE, seed=1)
+        model = transfer(src, replace(src.config, head=(16,), num_classes=4), FREEZE_BACKBONE, 1)
         x = np.random.default_rng(4).random((2, 3, 16, 16)).astype(np.float32)
         probs, tape = forward_cached(model, x, ForwardMode.train(0))
         onehot = np.eye(4, dtype=np.float32)[[0, 2]]
@@ -475,7 +476,7 @@ class TestForward:
 class TestTransfer:
     def test_freeze_backbone_copies_and_freezes(self):
         src = build_model(tiny_config(num_classes=4), seed=0)
-        dst = transfer(src, head=(16,), num_classes=6, policy=FREEZE_BACKBONE, seed=1)
+        dst = transfer(src, replace(src.config, head=(16,), num_classes=6), FREEZE_BACKBONE, 1)
         assert dst.config.num_classes == 6
         for name in ("conv1", "conv2", "attn_reduce", "attn_expand"):
             np.testing.assert_array_equal(dst.param(name).weights, src.param(name).weights)
@@ -485,30 +486,52 @@ class TestTransfer:
 
     def test_finetune_all_nothing_frozen(self):
         src = build_model(tiny_config(num_classes=4), seed=0)
-        dst = transfer(src, head=(16,), num_classes=6, policy=FINETUNE_ALL, seed=1)
+        dst = transfer(src, replace(src.config, head=(16,), num_classes=6), FINETUNE_ALL, 1)
         assert not dst.frozen
 
     def test_head_reinitialized(self):
         src = build_model(tiny_config(num_classes=4), seed=0)
-        dst = transfer(src, head=(16,), num_classes=4, policy=FINETUNE_ALL, seed=9)
+        dst = transfer(src, replace(src.config, head=(16,), num_classes=4), FINETUNE_ALL, 9)
         assert not np.array_equal(dst.param("fc1").weights, src.param("fc1").weights)
 
     def test_head_seed_reproducible(self):
         src = build_model(tiny_config(num_classes=4), seed=0)
-        a = transfer(src, head=(16,), num_classes=6, policy=FINETUNE_ALL, seed=5)
-        b = transfer(src, head=(16,), num_classes=6, policy=FINETUNE_ALL, seed=5)
+        a = transfer(src, replace(src.config, head=(16,), num_classes=6), FINETUNE_ALL, 5)
+        b = transfer(src, replace(src.config, head=(16,), num_classes=6), FINETUNE_ALL, 5)
         for name in a.param_names():
             np.testing.assert_array_equal(a.param(name).weights, b.param(name).weights)
 
     def test_rejects_unknown_policy(self):
         src = build_model(tiny_config(), seed=0)
         with pytest.raises(ConfigError):
-            transfer(src, head=(16,), num_classes=3, policy="warm", seed=0)
+            transfer(src, replace(src.config, head=(16,), num_classes=3), "warm", 0)
 
     def test_input_size_change_requires_compatible_backbone(self):
         src = build_model(tiny_config(num_classes=4), seed=0)
-        dst = transfer(
-            src, head=(16,), num_classes=4, policy=FINETUNE_ALL, seed=0, input_size=(32, 32, 3)
-        )
+        config = replace(src.config, head=(16,), num_classes=4, input_size=(32, 32, 3))
+        dst = transfer(src, config, FINETUNE_ALL, 0)
         x = np.random.default_rng(0).random((1, 3, 32, 32)).astype(np.float32)
         assert forward(dst, x).shape == (1, 4)
+
+    # A changed pool flag keeps every copied layer's shape, so only the restate
+    # rule can refuse it; either refusal names the part that differs.
+    @pytest.mark.parametrize("part,change", [
+        ("backbone", lambda c: replace(
+            c, backbone=(c.backbone[0], replace(c.backbone[1], pool=False)))),
+        ("attention", lambda c: replace(c, attention=replace(c.attention, reduction=2))),
+    ], ids=["one_pool_flag", "attention_reduction"])
+    def test_config_must_restate_the_source(self, part, change):
+        src = build_model(tiny_config(num_classes=4), seed=0)
+        with pytest.raises(TransferError, match=part):
+            transfer(src, change(src.config), FINETUNE_ALL, 0)
+
+    def test_input_channel_change_reaches_the_layer_shape_check(self):
+        src = build_model(tiny_config(num_classes=4), seed=0)
+        with pytest.raises(TransferError, match="conv1"):
+            transfer(src, replace(src.config, input_size=(16, 16, 1)), FINETUNE_ALL, 0)
+
+    def test_hand_built_source_missing_a_layer_is_refused(self):
+        src = build_model(tiny_config(num_classes=4), seed=0)
+        partial = src.with_params(tuple(p for p in src.params if p.name != "attn_expand"))
+        with pytest.raises(TransferError, match="attn_expand"):
+            transfer(partial, src.config, FREEZE_BACKBONE, 0)

@@ -220,7 +220,7 @@ class TestTrainLoop:
 
         ds = toy_dataset()
         src = build_model(tiny_model_config(), seed=3)
-        dst = transfer(src, head=(12,), num_classes=3, policy=FREEZE_BACKBONE, seed=4)
+        dst = transfer(src, replace(src.config, head=(12,), num_classes=3), FREEZE_BACKBONE, 4)
         trained, _ = train(dst, ds, ds, quick_cfg(epochs=2))
         for name in ("conv1", "conv2", "attn_reduce", "attn_expand"):
             np.testing.assert_array_equal(
@@ -234,7 +234,7 @@ class TestTrainLoop:
         # the live keys: the trained bits must not depend on where the walk stops.
         ds = toy_dataset()
         src = build_model(tiny_model_config(), seed=3)
-        dst = transfer(src, head=head, num_classes=3, policy=FREEZE_BACKBONE, seed=4)
+        dst = transfer(src, replace(src.config, head=head, num_classes=3), FREEZE_BACKBONE, 4)
         dense_calls = []
         original_dense = model_module.dense_backward
 
