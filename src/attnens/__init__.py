@@ -9,6 +9,8 @@ ensembles.  See the demos directory for narrative walkthroughs.
 import os as _os
 import sys as _sys
 
+from .errors import ConfigError
+
 # Cap BLAS thread pools before numpy is first imported anywhere in the
 # package.  0 or unset leaves the backend's own default in place.
 _BLAS_THREAD_VARS = (
@@ -17,16 +19,45 @@ _BLAS_THREAD_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-_threads = _os.environ.get("ATTN_ENS_THREADS", "").strip()
-if _threads.isascii() and _threads.isdigit() and _threads != "0":
+
+
+def _requested_threads() -> int:
+    """The BLAS thread count ``ATTN_ENS_THREADS`` asks for; 0 when unset.
+
+    Surrounding blanks and leading zeros are dropped, so ``01`` asks for 1.
+    Anything but a non-negative ASCII integer raises ConfigError; the CLI
+    checks this at startup, while importing the package only skips the cap.
+    """
+    value = _os.environ.get("ATTN_ENS_THREADS", "0")
+    stripped = value.strip()
+    if not (stripped.isascii() and stripped.isdigit()):
+        raise ConfigError(
+            f"ATTN_ENS_THREADS must be a non-negative integer (0 = auto), got {value!r}"
+        )
+    return int(stripped)
+
+
+try:
+    _threads = _requested_threads()
+except ConfigError:
+    _threads = 0
+if _threads:
     for _var in _BLAS_THREAD_VARS:
-        _os.environ.setdefault(_var, _threads)
+        _os.environ.setdefault(_var, str(_threads))
+    if "numpy" in _sys.modules:
+        import warnings
+
+        warnings.warn(
+            "ATTN_ENS_THREADS is set but numpy was imported before attnens: BLAS keeps "
+            "its own thread count and evaluate runs in one process",
+            RuntimeWarning,
+        )
 
 # Whether the cap holds BLAS to one thread: it is 1, no variable was already
 # set to another count, and numpy had not loaded BLAS before the cap was set.
 # trainer.evaluate then splits its batches over the idle cores.
 _one_blas_thread = (
-    _threads == "1"
+    _threads == 1
     and "numpy" not in _sys.modules
     and all(_os.environ[_var] == "1" for _var in _BLAS_THREAD_VARS)
 )

@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from . import _requested_threads
 from .atomic import atomic_write
 from .checkpoint import load_checkpoint, load_model, save_model
 from .data import Dataset, crop_bbox, load_dataset, read_label_table
@@ -50,8 +51,6 @@ from .model import FINETUNE_ALL, POLICIES, ModelConfig, build_model, transfer
 from .synth import SynthSpec, write_synth_dataset
 from .trainer import TrainConfig, evaluate, history_summary, train, write_history_csv
 
-THREADS_ENV = "ATTN_ENS_THREADS"
-
 USER_ERRORS = (
     ConfigError,
     ShapeError,
@@ -65,17 +64,6 @@ USER_ERRORS = (
     json.JSONDecodeError,
     OSError,
 )
-
-
-def _check_threads_env() -> None:
-    value = os.environ.get(THREADS_ENV)
-    if value is None:
-        return
-    stripped = value.strip()
-    if not (stripped.isascii() and stripped.isdigit()):
-        raise ConfigError(
-            f"{THREADS_ENV} must be a non-negative integer (0 = auto), got {value!r}"
-        )
 
 
 def _load_json(path) -> dict:
@@ -317,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_threads_env()
+        _requested_threads()
         return args.func(args)
     except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

@@ -114,24 +114,33 @@ def float_image(image: np.ndarray) -> np.ndarray:
     return image.astype(np.float32) / np.float32(255.0)
 
 
-def _parse_bbox(row: dict, row_num: int):
+def _parse_bbox(row: dict, where: str):
     values = [row.get(c, "") or "" for c in _BBOX_COLUMNS]
     if all(v.strip() == "" for v in values):
         return None
     try:
         return tuple(int(v) for v in values)
     except ValueError:
-        raise ManifestError(
-            f"{MANIFEST_NAME} row {row_num}: bbox columns must be integers or empty"
-        ) from None
+        raise ManifestError(f"{where}: bbox columns must be integers or empty") from None
 
 
-def _read_rows(path, required: set[str]) -> list[dict]:
-    """The rows of a CSV manifest whose header names every ``required`` column.
+def _read_manifest(path, with_split: bool) -> tuple[dict[str, tuple[str, dict]], dict[str, int]]:
+    """The checked rows of the CSV manifest at ``path``, and its class indices.
 
-    A row too short to hold every required column is refused: the reader
-    fills the missing fields with ``None``.
+    The rows come back in file order as ``{id: (where, row)}``, where
+    ``where`` names the file and the row for errors.  The header must name ``id``,
+    ``class_name`` and, ``with_split``, ``split``, whose values must be one
+    of ``SPLITS``; a row too short to hold every required column is refused
+    (the reader fills the missing fields with ``None``), and so is a
+    repeated id.  Class indices follow the sorted class names of every row.
+
+    ``predict`` writes ids unquoted into its CSV and ``read_matrix`` splits
+    that file with ``str.splitlines``, so an id holding a comma or anything
+    splitlines breaks on (a newline, but also a vertical tab, a form feed or
+    U+2028) is refused here rather than breaking that file later.  So is an
+    id holding a NUL byte, which no file name can contain.
     """
+    required = {"id", "class_name", "split"} if with_split else {"id", "class_name"}
     try:
         f = open(path, newline="")
     except OSError as e:
@@ -144,62 +153,39 @@ def _read_rows(path, required: set[str]) -> list[dict]:
             rows = list(reader)
         except (UnicodeDecodeError, csv.Error) as e:
             raise ManifestError(f"{path}: {e}") from e
+    checked = {}
     for i, row in enumerate(rows, start=2):
+        where = f"{path} row {i}"
         missing = sorted(c for c in required if row[c] is None)
         if missing:
-            raise ManifestError(f"{path} row {i}: missing {', '.join(missing)}")
-    return rows
-
-
-def _row_id(row: dict, where: str) -> str:
-    """The stripped id of a manifest row; ``where`` names the row in errors.
-
-    ``predict`` writes ids unquoted into its CSV and ``read_matrix`` splits
-    that file with ``str.splitlines``, so an id holding a comma or anything
-    splitlines breaks on (a newline, but also a vertical tab, a form feed or
-    U+2028) is refused here rather than breaking that file later.  So is an
-    id holding a NUL byte, which no file name can contain.
-    """
-    sid = row["id"].strip()
-    if not sid:
-        raise ManifestError(f"{where}: empty id")
-    if "," in sid or sid.splitlines() != [sid]:
-        raise ManifestError(f"{where}: id {sid!r} holds a comma or a line break")
-    if "\x00" in sid:
-        raise ManifestError(f"{where}: id {sid!r} holds a NUL byte")
-    return sid
+            raise ManifestError(f"{where}: missing {', '.join(missing)}")
+        sid = row["id"].strip()
+        if not sid:
+            raise ManifestError(f"{where}: empty id")
+        if "," in sid or sid.splitlines() != [sid]:
+            raise ManifestError(f"{where}: id {sid!r} holds a comma or a line break")
+        if "\x00" in sid:
+            raise ManifestError(f"{where}: id {sid!r} holds a NUL byte")
+        if sid in checked:
+            raise ManifestError(f"{where}: duplicate id {sid!r}")
+        if with_split and row["split"] not in SPLITS:
+            raise ManifestError(f"{where}: split must be one of {SPLITS}, got {row['split']!r}")
+        checked[sid] = (where, row)
+    names = sorted({row["class_name"] for row in rows})
+    return checked, {name: k for k, name in enumerate(names)}
 
 
 def load_dataset(root_dir, split: str | None = None) -> Dataset:
     """Load a dataset directory; pass split='train'/'test' to filter rows."""
     if split is not None and split not in SPLITS:
         raise ManifestError(f"split must be one of {SPLITS}, got {split!r}")
-    rows = _read_rows(os.path.join(root_dir, MANIFEST_NAME), {"id", "class_name", "split"})
-
-    seen = set()
-    class_names = set()
-    for i, row in enumerate(rows, start=2):
-        sid = _row_id(row, f"{MANIFEST_NAME} row {i}")
-        if sid in seen:
-            raise ManifestError(f"{MANIFEST_NAME} row {i}: duplicate id {sid!r}")
-        seen.add(sid)
-        if row["split"] not in SPLITS:
-            raise ManifestError(
-                f"{MANIFEST_NAME} row {i}: split must be one of {SPLITS}, "
-                f"got {row['split']!r}"
-            )
-        class_names.add(row["class_name"])
-    ordered_names = tuple(sorted(class_names))
-    index_of = {name: i for i, name in enumerate(ordered_names)}
-
+    rows, index_of = _read_manifest(os.path.join(root_dir, MANIFEST_NAME), with_split=True)
     samples = []
-    for i, row in enumerate(rows, start=2):
+    for sid, (where, row) in rows.items():
         if split is not None and row["split"] != split:
             continue
-        sid = row["id"].strip()
-        path = os.path.join(root_dir, f"{sid}.ppm")
-        pixels = read_ppm(path)
-        bbox = _parse_bbox(row, i)
+        pixels = read_ppm(os.path.join(root_dir, f"{sid}.ppm"))
+        bbox = _parse_bbox(row, where)
         try:
             sample = Sample(
                 id=sid,
@@ -208,27 +194,20 @@ def load_dataset(root_dir, split: str | None = None) -> Dataset:
                 bbox=bbox,
             )
         except IngestError as e:
-            raise IngestError(f"{MANIFEST_NAME} row {i}: {e}") from None
+            raise IngestError(f"{where}: {e}") from None
         samples.append(sample)
-    return Dataset(samples=tuple(samples), class_names=ordered_names, split=split)
+    return Dataset(samples=tuple(samples), class_names=tuple(index_of), split=split)
 
 
 def read_label_table(csv_path) -> tuple[dict[str, int], tuple[str, ...]]:
     """Read id -> class-index labels from a manifest without loading images.
 
-    Class indices are assigned by sorting the class names in the file, the
-    same rule load_dataset uses.  Returns (label_of_id, class_names).
+    The rows are checked and the class indices assigned as ``load_dataset``
+    does, by the same code; only the ``split`` column is optional.  Returns
+    (label_of_id, class_names).
     """
-    rows = _read_rows(csv_path, {"id", "class_name"})
-    names = tuple(sorted({row["class_name"] for row in rows}))
-    index_of = {name: i for i, name in enumerate(names)}
-    table: dict[str, int] = {}
-    for i, row in enumerate(rows, start=2):
-        sid = _row_id(row, f"{csv_path} row {i}")
-        if sid in table:
-            raise ManifestError(f"{csv_path} row {i}: duplicate id {sid!r}")
-        table[sid] = index_of[row["class_name"]]
-    return table, names
+    rows, index_of = _read_manifest(csv_path, with_split=False)
+    return {sid: index_of[row["class_name"]] for sid, (_, row) in rows.items()}, tuple(index_of)
 
 
 def crop_bbox(sample: Sample) -> Sample:

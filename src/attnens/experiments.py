@@ -4,8 +4,9 @@ The benchmark pretrains a small gated CNN on one synthetic task, transfers
 it to a disjoint target task, and measures three things: the transferred
 model's test accuracy, the gated model against an ungated control across
 several seeds, and the gain of a weighted-average ensemble of seed-varied
-models over its best single member.  Everything is seeded, so repeated runs
-return identical numbers.
+models over its best single member.  Everything is seeded from ``BASE_SEED``
+and every run trains for ``EPOCHS`` epochs, so repeated runs return identical
+numbers.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ BENCH_AUGMENT = AugmentConfig(
 BENCH_LR = 0.02
 BENCH_BATCH = 8
 BENCH_DROPOUT = 0.2
+BASE_SEED = 0
+EPOCHS = 20
 # Each ensemble trial combines a window of 4 consecutive attention finetunes,
 # so the pool holds N_TRIALS + 3 of them; the first N_SEEDS are also scored
 # against as many control finetunes.
@@ -63,10 +66,10 @@ class TransferBenchmark:
         return float(np.mean(self.ensemble_gains))
 
 
-def _train_config(shuffle_seed: int, epochs: int) -> TrainConfig:
+def _train_config(shuffle_seed: int) -> TrainConfig:
     return TrainConfig(
         batch_size=BENCH_BATCH,
-        epochs=epochs,
+        epochs=EPOCHS,
         learning_rate=BENCH_LR,
         momentum=0.9,
         shuffle_seed=shuffle_seed,
@@ -74,7 +77,7 @@ def _train_config(shuffle_seed: int, epochs: int) -> TrainConfig:
     )
 
 
-def run_transfer_benchmark(base_seed: int = 0, epochs: int = 20) -> TransferBenchmark:
+def run_transfer_benchmark() -> TransferBenchmark:
     """Run the full pretrain/transfer/ensemble study; see module docstring.
 
     The ensemble trials choose with the labels they are scored on: each
@@ -97,26 +100,18 @@ def run_transfer_benchmark(base_seed: int = 0, epochs: int = 20) -> TransferBenc
             desk_config(SOURCE_SPEC.num_classes, attention=use_attention),
             dropout_rate=BENCH_DROPOUT,
         )
-        model = build_model(config, seed=derive_seed(base_seed, "pretrain", label))
-        model, _ = train(
-            model,
-            source_train,
-            source_test,
-            _train_config(derive_seed(base_seed, "pretrain_shuffle", label), epochs),
-        )
+        model = build_model(config, seed=derive_seed(BASE_SEED, "pretrain", label))
+        shuffle_seed = derive_seed(BASE_SEED, "pretrain_shuffle", label)
+        model, _ = train(model, source_train, source_test, _train_config(shuffle_seed))
         pretrained[label] = model
 
     def finetune(label: str, index: int):
-        seed = derive_seed(base_seed, "finetune", label, index)
+        seed = derive_seed(BASE_SEED, "finetune", label, index)
         source = pretrained[label]
         config = replace(source.config, head=(128,), num_classes=TARGET_SPEC.num_classes)
         model = transfer(source, config, FINETUNE_ALL, seed)
-        model, _ = train(
-            model,
-            target_train,
-            target_test,
-            _train_config(derive_seed(base_seed, "finetune_shuffle", label, index), epochs),
-        )
+        shuffle_seed = derive_seed(BASE_SEED, "finetune_shuffle", label, index)
+        model, _ = train(model, target_train, target_test, _train_config(shuffle_seed))
         acc, matrix = evaluate(model, target_test, model_name=f"{label}_{index}")
         return acc, matrix
 

@@ -3,8 +3,8 @@
 ``grad_check`` compares an analytic gradient against central differences of
 a scalar-valued function, reporting the worst relative error
 |analytic - numeric| / max(1, |analytic|, |numeric|).  Checks run in double
-precision with h = 1e-5; test points keep a margin away from ReLU kinks and
-pooling ties so the finite difference stays on one linear piece.
+precision with the step ``H``; test points keep ``KINK_MARGIN`` away from ReLU
+kinks and pooling ties so the finite difference stays on one linear piece.
 
 ``audit_gradients`` packages one named check per layer kind and is what the
 command-line audit runs.  Its ``corrupt`` hook deliberately scales one
@@ -25,22 +25,21 @@ from .layers import ForwardMode, LayerParams
 from .trainer import cross_entropy, softmax_cross_entropy_grad
 
 TOLERANCE = 1e-4
-DEFAULT_H = 1e-5
+H = 1e-5
 KINK_MARGIN = 1e-3
 
-def numeric_gradient(f, x: np.ndarray, h: float = DEFAULT_H) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, one coordinate at a time."""
+
+def numeric_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of scalar f at x (step ``H``), one coordinate at a time."""
     if x.dtype != np.float64:
         raise PrecisionError("finite differences require double precision")
-    if h <= 0.0:
-        raise ConfigError(f"h must be positive, got {h}")
     grad = np.zeros_like(x)
     for i in range(x.size):
         forward = x.copy()
         backward = x.copy()
-        forward.flat[i] += h
-        backward.flat[i] -= h
-        grad.flat[i] = (f(forward) - f(backward)) / (2.0 * h)
+        forward.flat[i] += H
+        backward.flat[i] -= H
+        grad.flat[i] = (f(forward) - f(backward)) / (2.0 * H)
     return grad
 
 
@@ -52,21 +51,21 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def grad_check(f, x: np.ndarray, analytic: np.ndarray, h: float = DEFAULT_H) -> float:
-    """Max relative error between an analytic gradient and central differences."""
-    return relative_error(analytic, numeric_gradient(f, x, h))
+def grad_check(f, x: np.ndarray, analytic: np.ndarray) -> float:
+    """Max relative error between an analytic gradient and central differences (step ``H``)."""
+    return relative_error(analytic, numeric_gradient(f, x))
 
 
-def _away_from_zero(x: np.ndarray, margin: float = KINK_MARGIN) -> np.ndarray:
-    """Push entries with |x| < margin out to the margin, keeping their sign."""
+def _away_from_zero(x: np.ndarray) -> np.ndarray:
+    """Push entries with |x| < KINK_MARGIN out to the margin, keeping their sign."""
     shifted = x.copy()
-    small = np.abs(shifted) < margin
+    small = np.abs(shifted) < KINK_MARGIN
     sign = np.where(shifted[small] >= 0.0, 1.0, -1.0)
-    shifted[small] = sign * margin
+    shifted[small] = sign * KINK_MARGIN
     return shifted
 
 
-def _separated_windows(rng: np.random.Generator, shape, margin: float = KINK_MARGIN):
+def _separated_windows(rng: np.random.Generator, shape):
     """Random [N,C,H,W] values whose 2x2 pooling windows have no near-ties."""
     while True:
         x = rng.uniform(-1.0, 1.0, size=shape)
@@ -74,7 +73,7 @@ def _separated_windows(rng: np.random.Generator, shape, margin: float = KINK_MAR
         windows = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
         windows = windows.reshape(n, c, h // 2, w // 2, 4)
         ordered = np.sort(windows, axis=-1)
-        if np.min(np.diff(ordered, axis=-1)) > 2.0 * margin:
+        if np.min(np.diff(ordered, axis=-1)) > 2.0 * KINK_MARGIN:
             return x
 
 

@@ -145,14 +145,6 @@ class AugmentConfig:
             if not 0.0 <= frac <= 1.0:
                 raise ConfigError(f"{label} must lie in [0, 1], got {frac}")
 
-    def draws_only_identity(self) -> bool:
-        return (
-            self.rotation_deg == 0.0
-            and not self.h_flip
-            and self.width_shift_frac == 0.0
-            and self.height_shift_frac == 0.0
-        )
-
     @classmethod
     def none(cls) -> "AugmentConfig":
         return cls(rotation_deg=0.0, h_flip=False, width_shift_frac=0.0, height_shift_frac=0.0)
@@ -203,7 +195,7 @@ def augment(
     """
     _check_float_image(image)
     if draw is None:
-        if cfg.draws_only_identity():
+        if cfg == AugmentConfig.none():
             return image.copy()
         draw = draw_augment_params(cfg, seed)
     if draw.is_identity() or image.size == 0:

@@ -138,18 +138,12 @@ class ModelConfig:
         return h, w
 
 
-def default_backbone() -> tuple[ConvBlockConfig, ...]:
-    """Three 3x3 stages (16, 32, 64 channels), each followed by a 2x2 pool."""
-    return (
-        ConvBlockConfig(16),
-        ConvBlockConfig(32),
-        ConvBlockConfig(64),
-    )
-
-
 def desk_config(num_classes: int, input_size=(48, 48, 3), attention: bool = True) -> ModelConfig:
-    """Small configuration that trains in seconds on a CPU."""
-    backbone = default_backbone()
+    """Small configuration that trains in seconds on a CPU.
+
+    Three 3x3 stages (16, 32, 64 channels), each followed by a 2x2 pool.
+    """
+    backbone = (ConvBlockConfig(16), ConvBlockConfig(32), ConvBlockConfig(64))
     attn = AttentionConfig(backbone[-1].out_channels, reduction=4) if attention else None
     return ModelConfig(
         input_size=tuple(input_size),

@@ -28,6 +28,7 @@ from .model import Model, backward, forward_cached
 from .seeding import derive_seed
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "train_acc", "test_acc", "seconds")
+LOSS_CLAMP_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     momentum: float = 0.9
     shuffle_seed: int = 0
-    loss_clamp_eps: float = 1e-7
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
@@ -53,8 +53,6 @@ class TrainConfig:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.shuffle_seed < 0:
             raise ConfigError(f"shuffle_seed must be non-negative, got {self.shuffle_seed}")
-        if not 0.0 < self.loss_clamp_eps < 1.0:
-            raise ConfigError(f"loss_clamp_eps must lie in (0, 1), got {self.loss_clamp_eps}")
 
 
 @dataclass(frozen=True)
@@ -66,17 +64,16 @@ class EpochStats:
     seconds: float
 
 
-def cross_entropy(y: np.ndarray, y_hat: np.ndarray, eps: float = 1e-7) -> float:
+def cross_entropy(y: np.ndarray, y_hat: np.ndarray) -> float:
     """Mean negative log-likelihood of one-hot targets.
 
-    Predicted probabilities are clamped to [eps, 1] before the log, so a
-    confidently wrong model yields a large but finite loss.
+    Predicted probabilities are clamped to [LOSS_CLAMP_EPS, 1] before the log,
+    so a confidently wrong model yields a large but finite loss.  Only the
+    reported loss sees the clamp: training's gradient is closed form.
     """
     if y.ndim != 2 or y.shape != y_hat.shape:
         raise ShapeError(f"targets {y.shape} and predictions {y_hat.shape} must match")
-    if not 0.0 < eps < 1.0:
-        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    clamped = np.clip(y_hat, eps, 1.0)
+    clamped = np.clip(y_hat, LOSS_CLAMP_EPS, 1.0)
     return float(-(y * np.log(clamped)).sum() / y.shape[0])
 
 
@@ -229,7 +226,7 @@ def train(
             mode = ForwardMode.train(derive_seed(cfg.shuffle_seed, "dropout", epoch, batch_no))
             try:
                 probs, tape = forward_cached(current, batch, mode)
-                loss = cross_entropy(targets, probs, cfg.loss_clamp_eps)
+                loss = cross_entropy(targets, probs)
                 grads = backward(current, tape, softmax_cross_entropy_grad(targets, probs))
                 current, velocity = _sgd_update(current, grads, velocity, cfg)
             except NumericError as e:
@@ -283,11 +280,7 @@ def evaluate(
         dataset.samples[start : start + batch_size]
         for start in range(0, len(dataset), batch_size)
     ]
-    processes = _eval_processes(len(batches))
-    if processes == 1:
-        chunks = [_batch_probs(model, samples) for samples in batches]
-    else:
-        chunks = _split_probs(model, batches, processes)
+    chunks = _split_probs(model, batches, _eval_processes(len(batches)))
     probs = np.concatenate(chunks, axis=0)
     labels = dataset.labels()
     acc = float((probs.argmax(axis=1) == labels).mean())
@@ -335,12 +328,14 @@ def _split_probs(model: Model, batches: list, processes: int) -> list[np.ndarray
 
     The shares are contiguous and differ by at most one batch; the caller
     runs the first (the smallest) while forked children run the others.
-    Every child is joined on every path: on an error or an interrupt it is
-    killed first, so none is left running.
+    With one process no fork context is asked for, so platforms without
+    ``fork`` run this too.  Every child is joined on every path: on an error
+    or an interrupt it is killed first, so none is left running.
     """
-    import multiprocessing
+    if processes > 1:
+        import multiprocessing
 
-    context = multiprocessing.get_context("fork")
+        context = multiprocessing.get_context("fork")
     bounds = [len(batches) * i // processes for i in range(processes + 1)]
     shares = [batches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     children = []

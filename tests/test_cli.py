@@ -217,6 +217,17 @@ class TestTrainingRuns:
                           "model": MODEL, "train": TRAIN, "optimizer": "adam"})
         assert main(["pretrain", "--config", cfg]) == 2
 
+    def test_snapshot_with_loss_clamp_eps_exits_2(self, pipeline, capsys):
+        # The clamp is a constant now; a snapshot written while it was a
+        # run-config key replays once the key is deleted.
+        cfg = write_json(pipeline["root"] / "clamp.json",
+                         {"seed": 1, "data_dir": pipeline["source_data"],
+                          "out_dir": str(pipeline["root"] / "clamp"),
+                          "model": MODEL, "train": dict(TRAIN, loss_clamp_eps=1e-7)})
+        assert main(["pretrain", "--config", cfg]) == 2
+        assert "unknown keys ['loss_clamp_eps']" in capsys.readouterr().err
+        assert not os.path.exists(pipeline["root"] / "clamp")
+
     @pytest.mark.parametrize("command,override,key", [
         ("pretrain", {"train": dict(TRAIN, batch_size="abc")}, "batch_size"),
         ("pretrain", {"train": dict(TRAIN, batch_size=None)}, "batch_size"),

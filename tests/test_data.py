@@ -282,6 +282,21 @@ class TestManifest:
         with pytest.raises(ManifestError, match="row 3"):
             read_label_table(p)
 
+    def test_label_table_agrees_with_dataset(self, tmp_path):
+        # Both readers number the classes of every row, whatever the split.
+        self.write_dataset(
+            tmp_path, ["d1,zebra,train", "a1,apple,test", "c1,mole,train", "b1,zebra,test"]
+        )
+        ds = load_dataset(tmp_path)
+        label_of, class_names = read_label_table(tmp_path / "labels.csv")
+        assert class_names == ds.class_names == ("apple", "mole", "zebra")
+        assert label_of == {s.id: s.label for s in ds.samples}
+
+    def test_label_table_duplicate_id_reports_row(self, tmp_path):
+        self.write_dataset(tmp_path, ["a1,x,train", "a1,y,test"])
+        with pytest.raises(ManifestError, match="row 3: duplicate id 'a1'"):
+            read_label_table(tmp_path / "labels.csv")
+
 
 class TestUint8Storage:
     def write_pixels(self, root, count, size, seed=0):
