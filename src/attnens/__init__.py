@@ -26,7 +26,8 @@ def _requested_threads() -> int:
 
     Surrounding blanks and leading zeros are dropped, so ``01`` asks for 1.
     Anything but a non-negative ASCII integer raises ConfigError; the CLI
-    checks this at startup, while importing the package only skips the cap.
+    checks this at startup (exit 2), while importing the package skips the
+    cap with a ``RuntimeWarning`` that names the value.
     """
     value = _os.environ.get("ATTN_ENS_THREADS", "0")
     stripped = value.strip()
@@ -39,7 +40,13 @@ def _requested_threads() -> int:
 
 try:
     _threads = _requested_threads()
-except ConfigError:
+except ConfigError as _error:
+    import warnings
+
+    warnings.warn(
+        f"{_error}: the BLAS thread cap is skipped and BLAS keeps its own thread count",
+        RuntimeWarning,
+    )
     _threads = 0
 if _threads:
     for _var in _BLAS_THREAD_VARS:
@@ -49,13 +56,14 @@ if _threads:
 
         warnings.warn(
             "ATTN_ENS_THREADS is set but numpy was imported before attnens: BLAS keeps "
-            "its own thread count and evaluate runs in one process",
+            "its own thread count, and evaluate and train run in one process",
             RuntimeWarning,
         )
 
 # Whether the cap holds BLAS to one thread: it is 1, no variable was already
 # set to another count, and numpy had not loaded BLAS before the cap was set.
-# trainer.evaluate then splits its batches over the idle cores.
+# trainer.evaluate then splits its batches over the idle cores, and
+# trainer.train a frozen-backbone epoch's frozen prefix.
 _one_blas_thread = (
     _threads == 1
     and "numpy" not in _sys.modules

@@ -6,29 +6,32 @@ pooling, and a fully connected head (hidden layers with ReLU + dropout,
 then a logits layer feeding softmax).
 
 ``_steps(config)`` spells that order out once, as (kind, parameter layers)
-steps.  The parameter plan is its flattened layers; ``forward_cached`` runs
-each step through the ``_KINDS`` table and records a (kind, layer names,
-cache) tape entry; ``backward`` walks the tape in reverse through the same
-table.  Every entry speaks the layer primitives' convention, the attention
-block included: a forward returns (y, cache), and a backward returns a tuple
-of the input gradient followed by the weight and bias gradient of each of
-the step's parameter layers, which ``backward`` pairs by name.  The walk
-stops at the lowest step that holds a layer not in ``model.frozen`` (a live
-layer), and that step skips its input gradient, since nothing reads it:
-with nothing frozen this is the bottom conv, which
+steps.  The parameter plan is its flattened layers; ``forward_steps`` runs a
+range of the steps through the ``_KINDS`` table and records a (kind, layer
+names, cache) tape entry for each, ``forward_cached`` runs the rest of the
+network from a step and applies softmax, and ``backward`` walks the tape in
+reverse through the same table.  Every entry speaks the layer primitives'
+convention, the attention block included: a forward returns (y, cache), and
+a backward returns a tuple of the input gradient followed by the weight and
+bias gradient of each of the step's parameter layers, which ``backward``
+pairs by name.  The walk stops at the lowest step that holds a layer not in
+``model.frozen`` (a live layer), and that step skips its input gradient,
+since nothing reads it: with nothing frozen this is the bottom conv, which
 computes weight gradients only, and a frozen-backbone finetune runs only
-the head's backward.  Only live layers' gradients are returned.  A pass
-that no backward will follow (``forward``, ``trainer.evaluate``) keeps no
-tape: each step's cache is dropped as soon as the step returns, so the conv
-outputs and pooled maps it holds are freed during the pass.  A pooled
-block's ReLU and pool form one ``relu_maxpool`` step.  Its forward pools
-the conv output first and applies the ReLU to the quarter-size pooled map
-``y``, with the bits of the ReLU followed by the pool; it caches the conv
-output and ``y``.  Its backward rebuilds the full-size ReLU output, applies
-the ReLU mask ``y > 0`` to the quarter-size upstream gradient and routes it
-through the pool, with the bits of relu_backward after maxpool2d_backward.
-So a full-size ReLU runs only in a backward that reaches the trunk, never
-in a pass that no backward follows nor in a frozen-backbone finetune.
+the head's backward.  Only live layers' gradients are returned.  A pass that
+no backward will follow (``forward``, ``trainer.evaluate``, and the frozen
+prefix below ``live_start``, which a frozen-backbone finetune runs ahead of
+its head) keeps no tape: each step's cache is dropped as soon as the step
+returns, so the conv outputs and pooled maps it holds are freed during the
+pass.  A pooled block's ReLU and pool form one ``relu_maxpool`` step.  Its
+forward pools the conv output first and applies the ReLU to the
+quarter-size pooled map ``y``, with the bits of the ReLU followed by the
+pool; it caches the conv output and ``y``.  Its backward rebuilds the
+full-size ReLU output, applies the ReLU mask ``y > 0`` to the quarter-size
+upstream gradient and routes it through the pool, with the bits of
+relu_backward after maxpool2d_backward.  So a full-size ReLU runs only in a
+backward that reaches the trunk, never in a pass that no backward follows
+nor in a frozen-backbone finetune.
 
 Initialization is a pure function of (config, seed): layers feeding a ReLU
 draw He-uniform weights, layers feeding sigmoid or softmax draw
@@ -311,31 +314,58 @@ _KINDS = {
 }
 
 
-def forward_cached(
-    model: Model, batch: np.ndarray, mode: ForwardMode, keep_tape: bool = True
-):
-    """Run the full network, returning (probs, tape) for backpropagation.
+def live_start(model: Model) -> int:
+    """Index in ``_steps`` of the lowest step holding a live layer.
 
-    Each step of ``_steps`` appends one (kind, layer names, cache) entry to
-    the tape, in forward order; the names are those of the step's parameter
-    layers, empty for a step without parameters.  Softmax is applied to the
-    last step's output and leaves no entry.
+    A live layer is one not in ``model.frozen``; with nothing frozen this is
+    0, the bottom conv, and with every layer frozen it is the step count.
+    The steps below it are the frozen prefix, which no backward reaches.
+    """
+    steps = list(_steps(model.config))
+    return next(
+        (
+            depth
+            for depth, (_, layers) in enumerate(steps)
+            if any(layer.name not in model.frozen for layer in layers)
+        ),
+        len(steps),
+    )
+
+
+def forward_steps(
+    model: Model,
+    x: np.ndarray,
+    mode: ForwardMode,
+    start: int = 0,
+    stop: int | None = None,
+    keep_tape: bool = True,
+):
+    """Run steps ``start`` up to ``stop`` of ``_steps`` on ``x``: (output, tape).
+
+    ``x`` is the input of step ``start``: the image batch when it is 0,
+    whose shape is then checked.  Each step run appends one (kind, layer
+    names, cache) entry to the tape, in forward order; the names are those
+    of the step's parameter layers, empty for a step without parameters.
+    A dropout step draws the mask it would draw in a run of every step, so
+    the steps below ``stop`` followed by the steps from ``stop`` on give
+    the bits of one run.
 
     With ``keep_tape=False`` the tape is ``None`` and each step's cache is
     dropped as soon as the step returns, so an array that only the cache
     holds is freed before the next step runs, not at the end of the pass.
-    The probabilities are the same bits either way.
+    The output is the same bits either way.
     """
-    h, w, c = model.config.input_size
-    if batch.ndim != 4 or batch.shape[1:] != (c, h, w):
-        raise ShapeError(
-            f"batch shape {batch.shape} does not match expected (N, {c}, {h}, {w})"
-        )
+    if start == 0:
+        h, w, c = model.config.input_size
+        if x.ndim != 4 or x.shape[1:] != (c, h, w):
+            raise ShapeError(
+                f"batch shape {x.shape} does not match expected (N, {c}, {h}, {w})"
+            )
+    steps = list(_steps(model.config))
     params = {p.name: p for p in model.params}
     tape = [] if keep_tape else None
-    x = batch
-    dropouts = 0
-    for kind, layers in _steps(model.config):
+    dropouts = sum(kind == "dropout" for kind, _ in steps[:start])
+    for kind, layers in steps[start:stop]:
         names = tuple([layer.name for layer in layers])
         if kind == "dropout":
             # The one step fed more than parameters: its rate and a seed of its own.
@@ -352,6 +382,21 @@ def forward_cached(
         # Without the tape, this name would keep the cache alive through the
         # next step.
         del cache
+    return x, tape
+
+
+def forward_cached(
+    model: Model, batch: np.ndarray, mode: ForwardMode, keep_tape: bool = True, start: int = 0
+):
+    """Run the network from step ``start`` (the image batch at 0), returning
+    (probs, tape) for backpropagation.
+
+    ``forward_steps`` runs the steps and builds the tape; softmax is applied
+    to the last step's output and leaves no entry.  A ``start`` above 0
+    takes the output of the steps below it, as ``forward_steps`` returns it,
+    and the tape then begins at step ``start``.
+    """
+    x, tape = forward_steps(model, batch, mode, start, None, keep_tape)
     return softmax_forward(x), tape
 
 

@@ -3,8 +3,10 @@
 Each class is a recipe (shape kind, object count): the first eight classes
 are one disk, square, cross, triangle, ring, diamond, horizontal bar, and
 vertical bar; the next eight repeat the shapes with two objects, and so on.
-Object color, size, and position are randomized per sample, so class
-identity is carried by shape and count rather than raw pixel statistics.
+Object size and position are randomized per sample, while object hue is
+keyed to the class (palette entry ``(class_offset + class) % 6``, jittered
+per object), so color is an informative cue alongside shape and count: a
+task of at most six classes can be told apart by color alone.
 ``class_offset`` selects a disjoint band of recipes, which is how a source
 task and a transfer-target task avoid sharing any class.
 

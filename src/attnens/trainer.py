@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .ensemble import PredictionMatrix
 from .errors import ConfigError, NumericError, ShapeError
 from .imageops import AugmentConfig, augment, resize_bilinear
 from .layers import ForwardMode, LayerParams
-from .model import Model, backward, forward_cached
+from .model import Model, backward, forward_cached, forward_steps, live_start
 from .seeding import derive_seed
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "train_acc", "test_acc", "seconds")
@@ -184,6 +185,21 @@ def train(
     Images at the input size stay as stored, and a uint8 one is scaled to
     float32 just before it is augmented; a mismatched split is resized once,
     up front, because every epoch revisits it.
+
+    When frozen steps lie below the lowest live one (``live_start``), each
+    batch's frozen prefix (augmentation, stacking, and those steps run with
+    no tape and the batch's own dropout seed) depends only on the epoch's
+    batch order, the augment seeds and the frozen weights, all known when
+    the epoch starts.  So the batches' prefixes are split into contiguous
+    shares over the idle cores by ``_eval_processes``'s rule, as
+    ``evaluate``'s batches are: the caller computes the first share and a
+    forked child each other one, which sends back only the prefix outputs
+    (64 floats per image under a frozen ``desk_config`` backbone).  The
+    caller runs the head batch by batch: a taped forward from the lowest
+    live step, the loss, ``backward`` and the SGD step.  Every batch keeps
+    its bits wherever its prefix ran.  With nothing frozen the prefix is
+    augmentation and stacking alone and runs in the caller, batch by batch
+    ahead of each step, as with one process.
     """
     if train_set.class_names != test_set.class_names:
         raise ConfigError("train and test sets disagree on class names")
@@ -200,6 +216,7 @@ def train(
     n = len(train_set)
     k = model.config.num_classes
     onehot = np.eye(k, dtype=np.float32)
+    split = live_start(model)
 
     velocity = {key: np.zeros_like(arr) for key, arr in _live_arrays(model).items()}
 
@@ -208,31 +225,29 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         started = timer()
         order = epoch_permutation(cfg.shuffle_seed, epoch, n)
+        batches = [order[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
+        prefix = partial(_frozen_prefix, current, images, train_set.samples, cfg, epoch, split)
+        processes = _eval_processes(len(batches)) if split else 1
+        inputs = _split_map(prefix, list(enumerate(batches)), processes)
         loss_sum = 0.0
         hits = 0
-        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            batch = np.stack(
-                [
-                    augment(
-                        float_image(images[i]),
-                        cfg.augment,
-                        derive_seed(cfg.shuffle_seed, epoch, train_set.samples[i].id),
-                    )
-                    for i in idx
-                ]
-            ).astype(np.float32, copy=False)
-            targets = onehot[labels[idx]]
-            mode = ForwardMode.train(derive_seed(cfg.shuffle_seed, "dropout", epoch, batch_no))
-            try:
-                probs, tape = forward_cached(current, batch, mode)
-                loss = cross_entropy(targets, probs)
-                grads = backward(current, tape, softmax_cross_entropy_grad(targets, probs))
-                current, velocity = _sgd_update(current, grads, velocity, cfg)
-            except NumericError as e:
-                raise NumericError(f"epoch {epoch} batch {batch_no}: {e}") from e
-            loss_sum += loss * len(idx)
-            hits += int((probs.argmax(axis=1) == labels[idx]).sum())
+        try:
+            for batch_no, idx in enumerate(batches):
+                targets = onehot[labels[idx]]
+                mode = _dropout_mode(cfg, epoch, batch_no)
+                try:
+                    x = next(inputs)
+                    probs, tape = forward_cached(current, x, mode, True, split)
+                    loss = cross_entropy(targets, probs)
+                    grads = backward(current, tape, softmax_cross_entropy_grad(targets, probs))
+                    current, velocity = _sgd_update(current, grads, velocity, cfg)
+                except NumericError as e:
+                    raise NumericError(f"epoch {epoch} batch {batch_no}: {e}") from e
+                loss_sum += loss * len(idx)
+                hits += int((probs.argmax(axis=1) == labels[idx]).sum())
+        finally:
+            # Joins any child still running when a step fails or is interrupted.
+            inputs.close()
         test_acc, _ = evaluate(current, test_set)
         history.append(
             EpochStats(
@@ -244,6 +259,33 @@ def train(
             )
         )
     return current, history
+
+
+def _dropout_mode(cfg: TrainConfig, epoch: int, batch_no: int) -> ForwardMode:
+    """The train mode of one batch, whose seed feeds every dropout step."""
+    return ForwardMode.train(derive_seed(cfg.shuffle_seed, "dropout", epoch, batch_no))
+
+
+def _frozen_prefix(model: Model, images, samples, cfg: TrainConfig, epoch: int, split: int, item):
+    """The input of step ``split`` for one (batch number, sample indices) item.
+
+    The batch's images are augmented and stacked, then the steps below
+    ``split`` (none when it is 0) run with no tape, in the batch's own
+    train mode.
+    """
+    batch_no, idx = item
+    batch = np.stack(
+        [
+            augment(
+                float_image(images[i]),
+                cfg.augment,
+                derive_seed(cfg.shuffle_seed, epoch, samples[i].id),
+            )
+            for i in idx
+        ]
+    ).astype(np.float32, copy=False)
+    x, _ = forward_steps(model, batch, _dropout_mode(cfg, epoch, batch_no), 0, split, False)
+    return x
 
 
 def evaluate(
@@ -262,12 +304,12 @@ def evaluate(
     up to the BLAS kernels (README, "Memory").
 
     The batches may be split into contiguous shares over the idle cores
-    (``_eval_processes`` has the rule): the caller runs the first share and
-    a forked child runs each other one.  A batch keeps its images and its
-    kernels wherever it runs, so the probabilities keep their bits, and the
-    first batch to fail raises its own error in the caller, because a child
-    sends back only the batches before its first failure and the caller runs
-    the rest of that share itself.
+    (``_eval_processes`` has the rule, ``_split_map`` the fork): the caller
+    runs the first share and a forked child runs each other one.  A batch
+    keeps its images and its kernels wherever it runs, so the probabilities
+    keep their bits, and the first batch to fail raises its own error in the
+    caller, because a child sends back only the batches before its first
+    failure and the caller runs the rest of that share itself.
     """
     _check_class_space(model, dataset, "eval")
     if len(dataset) == 0:
@@ -280,8 +322,8 @@ def evaluate(
         dataset.samples[start : start + batch_size]
         for start in range(0, len(dataset), batch_size)
     ]
-    chunks = _split_probs(model, batches, _eval_processes(len(batches)))
-    probs = np.concatenate(chunks, axis=0)
+    chunks = _split_map(partial(_batch_probs, model), batches, _eval_processes(len(batches)))
+    probs = np.concatenate(list(chunks), axis=0)
     labels = dataset.labels()
     acc = float((probs.argmax(axis=1) == labels).mean())
     matrix = PredictionMatrix(model_name, dataset.sample_ids(), probs.astype(np.float64))
@@ -297,7 +339,8 @@ def _batch_probs(model: Model, samples) -> np.ndarray:
 
 
 def _eval_processes(batches: int) -> int:
-    """How many processes ``evaluate`` splits ``batches`` batches over.
+    """How many processes ``evaluate``, or a ``train`` epoch's frozen prefix,
+    splits ``batches`` batches over.
 
     ``min(batches, CPUs in the affinity mask)`` when the package pinned BLAS
     to one thread (``ATTN_ENS_THREADS=1`` before numpy loaded; with more
@@ -323,44 +366,48 @@ def _eval_processes(batches: int) -> int:
     return processes
 
 
-def _split_probs(model: Model, batches: list, processes: int) -> list[np.ndarray]:
-    """Each batch's probabilities, the batches split over ``processes`` processes.
+def _split_map(fn, items: list, processes: int):
+    """Yield ``fn(item)`` for each item in order, the items split over ``processes`` processes.
 
-    The shares are contiguous and differ by at most one batch; the caller
-    runs the first (the smallest) while forked children run the others.
-    With one process no fork context is asked for, so platforms without
-    ``fork`` run this too.  Every child is joined on every path: on an error
-    or an interrupt it is killed first, so none is left running.
+    The shares are contiguous and differ by at most one item; the caller
+    runs the first (the smallest), one item per ``next``, while a child
+    forked at the first ``next`` runs each other share and sends back its
+    results up to its first failure.  An item the child did not send failed
+    there (or the child died): the caller runs it again, which raises its
+    error or recovers its result, so the first failing item raises its own
+    error in the caller.  With one process no fork context is asked for, so
+    platforms without ``fork`` run this too.  Every child is joined on every
+    path, killed first on an error or an interrupt, and on ``close()``, so a
+    caller that stops early closes the generator.
     """
     if processes > 1:
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
-    bounds = [len(batches) * i // processes for i in range(processes + 1)]
-    shares = [batches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    bounds = [len(items) * i // processes for i in range(processes + 1)]
+    shares = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     children = []
     try:
         for share in shares[1:]:
             receiver, sender = context.Pipe(duplex=False)
             # The fork Popen flushes stdout and stderr before forking, so no
             # buffered line is printed twice.
-            child = context.Process(target=_send_share_probs, args=(model, share, sender))
+            child = context.Process(target=_send_share, args=(fn, share, sender))
             child.start()
             children.append((child, receiver))
             sender.close()
-        chunks = [_batch_probs(model, samples) for samples in shares[0]]
+        for item in shares[0]:
+            yield fn(item)
         for (_, receiver), share in zip(children, shares[1:]):
             try:
                 done = receiver.recv()
             except EOFError:
                 done = []
-            chunks += done
-            # A batch the child did not send failed there (or the child died):
-            # running it here raises its error, or recovers its probabilities.
-            chunks += [_batch_probs(model, samples) for samples in share[len(done) :]]
+            yield from done
+            for item in share[len(done) :]:
+                yield fn(item)
         for child, _ in children:
             child.join()
-        return chunks
     finally:
         # A child that has exited is joined already, and kill skips it.  The
         # pipe closes last, so no child still sending meets a closed pipe.
@@ -370,18 +417,18 @@ def _split_probs(model: Model, batches: list, processes: int) -> list[np.ndarray
             receiver.close()
 
 
-def _send_share_probs(model: Model, share: list, sender) -> None:
-    """A child's work: send the probabilities of its batches up to the first failure."""
+def _send_share(fn, share: list, sender) -> None:
+    """A child's work: send ``fn``'s results for its items up to the first failure."""
     import signal
 
     # On Ctrl-C the caller stops waiting and kills its children.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     done = []
     try:
-        for samples in share:
-            done.append(_batch_probs(model, samples))
+        for item in share:
+            done.append(fn(item))
     except Exception:
-        pass  # the caller runs the failed batch itself and raises its error
+        pass  # the caller runs the failed item itself and raises its error
     sender.send(done)
     sender.close()
 

@@ -1,8 +1,12 @@
-"""Finite-difference machinery and the full gradient audit."""
+"""Finite-difference machinery, the full gradient audit, and a check of the
+assembled model's gradient."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from attnens.attention import AttentionConfig
 from attnens.errors import ConfigError, PrecisionError
 from attnens.gradcheck import (
     AUDIT_NAMES,
@@ -12,6 +16,19 @@ from attnens.gradcheck import (
     numeric_gradient,
     relative_error,
 )
+from attnens.layers import ForwardMode, LayerParams
+from attnens.model import (
+    FREEZE_BACKBONE,
+    ConvBlockConfig,
+    ModelConfig,
+    backward,
+    build_model,
+    forward_cached,
+    forward_steps,
+    live_start,
+    transfer,
+)
+from attnens.trainer import cross_entropy, softmax_cross_entropy_grad
 
 
 class TestNumericGradient:
@@ -84,3 +101,96 @@ class TestAudit:
         by_name = {r.name: r for r in rows}
         assert not by_name["dense"].passed
         assert by_name["conv2d"].passed
+
+
+class TestAssembledModel:
+    """``forward_cached`` + ``backward`` over the whole network against
+    central differences of the mean cross-entropy, for every layer.
+
+    The layer rows above check each kind alone; this checks their
+    composition: ``backward``'s stop rule, the pairing of each step's
+    gradients with its layer names, the fused ReLU-and-pool backward, the
+    attention block's gradient order, and train-mode dropout drawing the
+    same masks in the forward and the backward.
+    """
+
+    @staticmethod
+    def problem(seed):
+        """A float64 copy of a tiny model (biases offset from zero), a batch
+        of 4, its one-hot targets and a train mode with dropout 0.3."""
+        config = ModelConfig(
+            input_size=(8, 8, 3),
+            backbone=(ConvBlockConfig(4), ConvBlockConfig(8)),
+            num_classes=3,
+            head=(6,),
+            attention=AttentionConfig(8, reduction=2),
+            dropout_rate=0.3,
+        )
+        model = build_model(config, seed)
+        model = model.with_params(
+            tuple(
+                LayerParams(p.name, p.weights.astype(np.float64), p.bias.astype(np.float64) + 0.01)
+                for p in model.params
+            )
+        )
+        rng = np.random.default_rng(seed)
+        x = rng.random((4, 3, 8, 8))
+        y = np.eye(3)[rng.integers(0, 3, size=4)]
+        return model, x, y, ForwardMode.train(dropout_seed=1000 + seed)
+
+    @staticmethod
+    def frozen(model, frozen):
+        """``model`` with nothing, the backbone (as ``FREEZE_BACKBONE``
+        freezes it) or the backbone and ``fc1`` frozen."""
+        if frozen == "nothing_frozen":
+            return model
+        backbone = transfer(model, model.config, FREEZE_BACKBONE, 0).frozen
+        return replace(model, frozen=backbone | ({"fc1"} if frozen == "fc1_frozen" else set()))
+
+    @staticmethod
+    def numeric(model, x, y, mode, key):
+        """Central-difference gradient of the loss w.r.t. '<layer>.weight|bias'."""
+        name, part = key.rsplit(".", 1)
+        layer = model.param(name)
+
+        def loss(v):
+            changed = replace(layer, **{"weights" if part == "weight" else "bias": v})
+            params = tuple(changed if p.name == name else p for p in model.params)
+            probs, _ = forward_cached(model.with_params(params), x, mode, False)
+            return cross_entropy(y, probs)
+
+        return numeric_gradient(loss, layer.weights if part == "weight" else layer.bias)
+
+    def check(self, model, x, y, mode, grads):
+        live = [n for n in model.param_names() if n not in model.frozen]
+        assert set(grads) == {f"{n}.{part}" for n in live for part in ("weight", "bias")}
+        for key, g in grads.items():
+            err = relative_error(g, self.numeric(model, x, y, mode, key))
+            assert err < TOLERANCE, f"{key}: {err}"
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("frozen", ["nothing_frozen", "freeze_backbone"])
+    def test_whole_tape(self, seed, frozen):
+        model, x, y, mode = self.problem(seed)
+        model = self.frozen(model, frozen)
+        probs, tape = forward_cached(model, x, mode)
+        grads = backward(model, tape, softmax_cross_entropy_grad(y, probs))
+        self.check(model, x, y, mode, grads)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("frozen", ["freeze_backbone", "fc1_frozen"])
+    def test_prefix_then_head(self, seed, frozen):
+        # The path a frozen-backbone finetune takes: the frozen steps with no
+        # tape, then a taped forward from the lowest live step.
+        model, x, y, mode = self.problem(seed)
+        model = self.frozen(model, frozen)
+        split = live_start(model)
+        below, _ = forward_steps(model, x, mode, 0, split, False)
+        probs, tape = forward_cached(model, below, mode, True, split)
+        grads = backward(model, tape, softmax_cross_entropy_grad(y, probs))
+        self.check(model, x, y, mode, grads)
+        whole_probs, whole_tape = forward_cached(model, x, mode)
+        whole = backward(model, whole_tape, softmax_cross_entropy_grad(y, whole_probs))
+        assert {k: g.tobytes() for k, g in grads.items()} == {
+            k: g.tobytes() for k, g in whole.items()
+        }

@@ -28,6 +28,8 @@ from attnens.model import (
     desk_config,
     forward,
     forward_cached,
+    forward_steps,
+    live_start,
     paper_config,
     transfer,
 )
@@ -471,6 +473,47 @@ class TestForward:
             for key, g in grads.items():
                 assert (g.dtype, g.shape) == (whole[key].dtype, whole[key].shape)
                 assert g.tobytes() == whole[key].tobytes(), (sorted(frozen), key)
+
+
+class TestStepRange:
+    """``forward_steps`` over a range of ``_steps``, and where the live steps start."""
+
+    @staticmethod
+    def head_frozen(model, *names):
+        return replace(model, frozen=model.frozen | frozenset(names))
+
+    def test_live_start(self):
+        src = build_model(tiny_config(), seed=0)
+        kinds = [kind for kind, _ in model_module._steps(src.config)]
+        frozen = transfer(src, src.config, FREEZE_BACKBONE, 1)
+        assert live_start(src) == 0
+        assert kinds[: live_start(frozen)] == [
+            "conv", "relu_maxpool", "conv", "relu_maxpool", "attention", "gap",
+        ]
+        # fc1 frozen too: the prefix ends in the head's dropout, logits is live.
+        assert kinds[live_start(self.head_frozen(frozen, "fc1")) - 1] == "dropout"
+        assert live_start(self.head_frozen(frozen, "fc1", "logits")) == len(kinds)
+        # A live layer above a frozen one: the lowest live step counts.
+        assert live_start(self.head_frozen(src, "conv1", "fc1")) == 2
+
+    @pytest.mark.parametrize("mode", [ForwardMode.train(3), ForwardMode.eval()], ids=["train", "eval"])
+    def test_a_split_at_every_step_keeps_the_bits_of_one_pass(self, mode):
+        # Each dropout draws the mask of a whole pass wherever the split falls,
+        # between the two hidden layers' dropouts too.
+        model = build_model(replace(tiny_config(), head=(16, 8)), seed=0)
+        x = np.random.default_rng(7).random((5, 3, 16, 16)).astype(np.float32)
+        whole, whole_tape = forward_cached(model, x, mode)
+        for split in range(len(whole_tape) + 1):
+            below, none = forward_steps(model, x, mode, 0, split, False)
+            probs, tape = forward_cached(model, below, mode, True, split)
+            assert none is None
+            assert probs.tobytes() == whole.tobytes(), split
+            assert [e[:2] for e in tape] == [e[:2] for e in whole_tape[split:]]
+
+    def test_a_range_from_the_bottom_checks_the_batch_shape(self):
+        model = build_model(tiny_config(), seed=0)
+        with pytest.raises(ShapeError, match="batch shape"):
+            forward_steps(model, np.zeros((2, 3, 8, 8), np.float32), ForwardMode.eval(), 0, 2)
 
 
 class TestTransfer:

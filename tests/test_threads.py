@@ -1,5 +1,5 @@
-"""ATTN_ENS_THREADS: one parser, a warning when it comes too late, and a
-check that a pinned test run really splits ``evaluate``.
+"""ATTN_ENS_THREADS: one parser, a warning when it comes too late or is not
+a count, and a check that a pinned test run really splits ``evaluate``.
 
 The pin is read when attnens is imported, so each case but the last runs a
 fresh interpreter.
@@ -50,7 +50,7 @@ def test_numpy_first_warns_once(threads):
     assert "ATTN_ENS_THREADS" in err and "numpy was imported before attnens" in err
 
 
-@pytest.mark.parametrize("threads", ["1", "2", "0", None, "many"])
+@pytest.mark.parametrize("threads", ["1", "2", "0", None])
 def test_attnens_first_does_not_warn(threads):
     out, err = run_python(PROBE + "\nimport numpy", threads)
     assert err == ""
@@ -58,10 +58,23 @@ def test_attnens_first_does_not_warn(threads):
     assert out == pinned + "\n"
 
 
-@pytest.mark.parametrize("threads", [None, "0", "many"])
+@pytest.mark.parametrize("threads", [None, "0"])
 def test_numpy_first_without_a_count_does_not_warn(threads):
     _, err = run_python("import numpy\n" + PROBE, threads)
     assert err == ""
+
+
+@pytest.mark.parametrize("first", ["attnens", "numpy"])
+@pytest.mark.parametrize(
+    "threads", ["many", "-1", "\u00b2"], ids=["many", "negative", "superscript_two"]
+)
+def test_invalid_count_warns_once_naming_it(threads, first):
+    # The CLI exits 2 on such a value; a plain import skips the cap, but says so.
+    code = PROBE + "\nimport numpy" if first == "attnens" else "import numpy\n" + PROBE
+    out, err = run_python(code, threads)
+    assert out == "False None\n"
+    assert err.count("RuntimeWarning") == 1
+    assert f"ATTN_ENS_THREADS must be a non-negative integer (0 = auto), got {threads!r}" in err
 
 
 @pytest.mark.parametrize("threads", ["01", " 1 ", "001"])
