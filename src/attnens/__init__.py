@@ -107,7 +107,6 @@ from .model import (
     build_model,
     desk_config,
     forward,
-    paper_config,
     transfer,
 )
 from .ppm import read_ppm, write_ppm

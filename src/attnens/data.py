@@ -9,9 +9,9 @@ manifest order.
 
 Loaded images keep the decoded bytes: a C-contiguous ``[3, H, W]`` uint8
 array, a quarter of the float32 form's memory.  ``float_image`` scales one
-to float32 in [0, 1] where a batch is built (``trainer.train`` and
-``trainer.evaluate``) as ``astype(float32) / float32(255)``, so every batch
-holds the same bits as if the float image had been stored.
+to float32 in [0, 1] as ``astype(float32) / float32(255)`` only when its
+batch is built (training and evaluation share one batch builder), so every
+batch holds the same bits as if the float image had been stored.
 """
 
 from __future__ import annotations

@@ -158,23 +158,6 @@ def desk_config(num_classes: int, input_size=(48, 48, 3), attention: bool = True
     )
 
 
-def paper_config(num_classes: int) -> ModelConfig:
-    """Full-resolution 512x512 preset mirroring the published training setup."""
-    return ModelConfig(
-        input_size=(512, 512, 3),
-        backbone=(
-            ConvBlockConfig(32),
-            ConvBlockConfig(64),
-            ConvBlockConfig(128),
-            ConvBlockConfig(256),
-        ),
-        num_classes=num_classes,
-        head=(40,),
-        attention=AttentionConfig(256, reduction=4),
-        dropout_rate=0.4,
-    )
-
-
 @dataclass(frozen=True)
 class Model:
     """Immutable bundle of architecture, parameters, and frozen-layer names."""
@@ -400,10 +383,9 @@ def forward_cached(
     return softmax_forward(x), tape
 
 
-def forward(model: Model, batch: np.ndarray, mode: ForwardMode | None = None) -> np.ndarray:
-    """Class probabilities for a batch; eval mode unless told otherwise."""
-    mode = mode if mode is not None else ForwardMode.eval()
-    probs, _ = forward_cached(model, batch, mode, False)
+def forward(model: Model, batch: np.ndarray) -> np.ndarray:
+    """Eval-mode class probabilities for a batch."""
+    probs, _ = forward_cached(model, batch, ForwardMode.eval(), False)
     return probs
 
 

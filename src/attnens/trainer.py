@@ -119,32 +119,35 @@ def epoch_permutation(shuffle_seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def _resized_images(samples, input_size) -> list[np.ndarray]:
-    """Each sample's image at the model's input size.
-
-    An image already at that size is returned as stored (uint8 or float); a
-    resized one is float32, scaled by ``float_image`` before resampling.
-    """
-    h, w, c = input_size
-    images = []
-    for s in samples:
-        if s.image.shape[0] != c:
-            raise ShapeError(
-                f"sample {s.id!r} has {s.image.shape[0]} channels, model expects {c}"
-            )
-        if s.image.shape[1:] == (h, w):
-            images.append(s.image)
-        else:
-            images.append(resize_bilinear(float_image(s.image), h, w))
-    return images
-
-
-def _check_class_space(model: Model, dataset: Dataset, role: str) -> None:
+def _check_dataset(model: Model, dataset: Dataset, role: str) -> None:
+    """Refuse a set whose class count or image channel count is not the model's."""
     if dataset.num_classes != model.config.num_classes:
         raise ConfigError(
             f"{role} set has {dataset.num_classes} classes, "
             f"model expects {model.config.num_classes}"
         )
+    c = model.config.input_size[2]
+    for s in dataset.samples:
+        if s.image.shape[0] != c:
+            raise ShapeError(
+                f"sample {s.id!r} has {s.image.shape[0]} channels, model expects {c}"
+            )
+
+
+def _batch(model: Model, samples, transform=None) -> np.ndarray:
+    """The float32 input batch of ``samples``: each image scaled by ``float_image``,
+    resized to the input size when it differs, then passed through
+    ``transform(sample, image)`` if given (training's augmentation)."""
+    h, w, _ = model.config.input_size
+    images = []
+    for s in samples:
+        image = float_image(s.image)
+        if image.shape[1:] != (h, w):
+            image = resize_bilinear(image, h, w)
+        if transform is not None:
+            image = transform(s, image)
+        images.append(image)
+    return np.stack(images).astype(np.float32, copy=False)
 
 
 def _live_arrays(model: Model) -> dict[str, np.ndarray]:
@@ -180,14 +183,14 @@ def train(
     a seed derived from (shuffle_seed, epoch, sample_id), and updates all
     non-frozen parameters after every batch.  epochs=0 returns the model
     untouched with an empty history; otherwise an empty test set is refused
-    before the first step, since every epoch ends by evaluating it.
+    before the first step, since every epoch ends by evaluating it.  Both
+    splits are checked against the model's class and channel counts first.
 
-    Images at the input size stay as stored, and a uint8 one is scaled to
-    float32 just before it is augmented; a mismatched split is resized once,
-    up front, because every epoch revisits it.
+    Images stay as stored; each batch is built as it runs (``_batch``):
+    scaled, resized when its size differs from the input, and augmented.
 
     When frozen steps lie below the lowest live one (``live_start``), each
-    batch's frozen prefix (augmentation, stacking, and those steps run with
+    batch's frozen prefix (building the batch, and those steps run with
     no tape and the batch's own dropout seed) depends only on the epoch's
     batch order, the augment seeds and the frozen weights, all known when
     the epoch starts.  So the batches' prefixes are split into contiguous
@@ -198,12 +201,13 @@ def train(
     caller runs the head batch by batch: a taped forward from the lowest
     live step, the loss, ``backward`` and the SGD step.  Every batch keeps
     its bits wherever its prefix ran.  With nothing frozen the prefix is
-    augmentation and stacking alone and runs in the caller, batch by batch
-    ahead of each step, as with one process.
+    building the batch alone and runs in the caller, batch by batch ahead
+    of each step, as with one process.
     """
     if train_set.class_names != test_set.class_names:
         raise ConfigError("train and test sets disagree on class names")
-    _check_class_space(model, train_set, "train")
+    _check_dataset(model, train_set, "train")
+    _check_dataset(model, test_set, "test")
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
     if cfg.epochs == 0:
@@ -211,7 +215,6 @@ def train(
     if len(test_set) == 0:
         raise ConfigError("test set is empty")
 
-    images = _resized_images(train_set.samples, model.config.input_size)
     labels = train_set.labels()
     n = len(train_set)
     k = model.config.num_classes
@@ -226,7 +229,7 @@ def train(
         started = timer()
         order = epoch_permutation(cfg.shuffle_seed, epoch, n)
         batches = [order[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
-        prefix = partial(_frozen_prefix, current, images, train_set.samples, cfg, epoch, split)
+        prefix = partial(_frozen_prefix, current, train_set.samples, cfg, epoch, split)
         processes = _eval_processes(len(batches)) if split else 1
         inputs = _split_map(prefix, list(enumerate(batches)), processes)
         loss_sum = 0.0
@@ -266,24 +269,19 @@ def _dropout_mode(cfg: TrainConfig, epoch: int, batch_no: int) -> ForwardMode:
     return ForwardMode.train(derive_seed(cfg.shuffle_seed, "dropout", epoch, batch_no))
 
 
-def _frozen_prefix(model: Model, images, samples, cfg: TrainConfig, epoch: int, split: int, item):
+def _frozen_prefix(model: Model, samples, cfg: TrainConfig, epoch: int, split: int, item):
     """The input of step ``split`` for one (batch number, sample indices) item.
 
-    The batch's images are augmented and stacked, then the steps below
-    ``split`` (none when it is 0) run with no tape, in the batch's own
-    train mode.
+    The batch is built with each image augmented by its own seed, then the
+    steps below ``split`` (none when it is 0) run with no tape, in the
+    batch's own train mode.
     """
     batch_no, idx = item
-    batch = np.stack(
-        [
-            augment(
-                float_image(images[i]),
-                cfg.augment,
-                derive_seed(cfg.shuffle_seed, epoch, samples[i].id),
-            )
-            for i in idx
-        ]
-    ).astype(np.float32, copy=False)
+
+    def seeded(s, image):
+        return augment(image, cfg.augment, derive_seed(cfg.shuffle_seed, epoch, s.id))
+
+    batch = _batch(model, [samples[i] for i in idx], seeded)
     x, _ = forward_steps(model, batch, _dropout_mode(cfg, epoch, batch_no), 0, split, False)
     return x
 
@@ -295,6 +293,9 @@ def evaluate(
     model_name: str = "model",
 ) -> tuple[float, PredictionMatrix]:
     """Eval-mode accuracy plus the full prediction matrix, in dataset order.
+
+    The set's class and channel counts are checked before any batch runs,
+    and each batch is scaled and resized as it runs (``_batch``).
 
     The forward pass keeps no tape: each step's cache is dropped as soon as
     the step returns.  The probabilities are the taped pass's bits.  The
@@ -311,13 +312,11 @@ def evaluate(
     caller, because a child sends back only the batches before its first
     failure and the caller runs the rest of that share itself.
     """
-    _check_class_space(model, dataset, "eval")
+    _check_dataset(model, dataset, "eval")
     if len(dataset) == 0:
         raise ConfigError("evaluation set is empty")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    # Each batch is scaled and resized just before its forward pass; train
-    # resizes up front because it revisits its images every epoch.
     batches = [
         dataset.samples[start : start + batch_size]
         for start in range(0, len(dataset), batch_size)
@@ -332,9 +331,7 @@ def evaluate(
 
 def _batch_probs(model: Model, samples) -> np.ndarray:
     """Eval-mode probabilities of one batch of samples."""
-    images = _resized_images(samples, model.config.input_size)
-    batch = np.stack([float_image(image) for image in images]).astype(np.float32, copy=False)
-    probs, _ = forward_cached(model, batch, ForwardMode.eval(), False)
+    probs, _ = forward_cached(model, _batch(model, samples), ForwardMode.eval(), False)
     return probs
 
 

@@ -104,8 +104,8 @@ def test_caller_runs_only_the_first_share(monkeypatch):
 
 def corrupted(faults):
     """16 samples in 4 batches of 4; ``faults`` maps a batch to the fault of
-    its first sample: a NaN pixel (NumericError from the softmax) or one
-    channel (ShapeError)."""
+    its first sample: a NaN pixel (NumericError from the softmax, in the
+    batch) or one channel (ShapeError, before any batch runs)."""
     ds = split_dataset(16)
     samples = list(ds.samples)
     for batch, fault in faults.items():
@@ -125,7 +125,8 @@ def corrupted(faults):
     [
         ({3: "nan"}, NumericError),
         ({3: "channels"}, ShapeError),
-        ({1: "nan", 3: "channels"}, NumericError),
+        # A wrong channel count is refused up front, even after an earlier NaN.
+        ({1: "nan", 3: "channels"}, ShapeError),
         ({1: "channels", 3: "nan"}, ShapeError),
     ],
     ids=["child_numeric", "child_shape", "numeric_first", "shape_first"],

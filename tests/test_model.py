@@ -30,7 +30,6 @@ from attnens.model import (
     forward_cached,
     forward_steps,
     live_start,
-    paper_config,
     transfer,
 )
 from attnens.trainer import evaluate, softmax_cross_entropy_grad
@@ -53,11 +52,6 @@ class TestConfigValidation:
         assert cfg.input_size == (48, 48, 3)
         assert cfg.num_classes == 5
         assert cfg.attention is not None
-
-    def test_paper_scale_config(self):
-        cfg = paper_config(40)
-        assert cfg.input_size == (512, 512, 3)
-        assert cfg.num_classes == 40
 
     def test_attention_channels_must_match_last_block(self):
         with pytest.raises(ConfigError):

@@ -4,7 +4,9 @@ errors and cleanup.
 ``_eval_processes`` is the seam, as in ``test_eval_split``: the tests pin it
 to choose the process count, whatever the host's cores and
 ``ATTN_ENS_THREADS``.  27 training images in batches of 4 make 7 batches,
-split into shares of 2, 2 and 3 at 3 processes.
+split into shares of 2, 2 and 3 at 3 processes.  The images are at the
+model's 16x16 input, or 20x20 and resized batch by batch, in the forked
+children too.
 """
 
 import multiprocessing
@@ -19,7 +21,7 @@ import attnens.model as model_module
 import attnens.trainer as trainer_module
 from attnens.data import Dataset, Sample, float_image
 from attnens.errors import NumericError
-from attnens.imageops import AugmentConfig, augment
+from attnens.imageops import AugmentConfig, augment, resize_bilinear
 from attnens.layers import ForwardMode
 from attnens.model import FREEZE_BACKBONE, build_model, forward_cached, live_start, transfer
 from attnens.seeding import derive_seed
@@ -44,9 +46,9 @@ CFG = TrainConfig(
 )
 
 
-def datasets():
-    """27 uint8 training images and 9 test images, 16x16, three classes."""
-    spec = SynthSpec(num_classes=3, per_class=12, image_size=16, seed=3)
+def datasets(image_size=16):
+    """27 uint8 training images and 9 test images, three classes."""
+    spec = SynthSpec(num_classes=3, per_class=12, image_size=image_size, seed=3)
     return synth_dataset(spec, "train"), synth_dataset(spec, "test")
 
 
@@ -84,7 +86,9 @@ def run_bytes(model, history, tmp_path):
 def whole_network_loop(model, train_set, test_set, cfg):
     """The batch-by-batch loop with every step taped, frozen ones included:
     the reference the prefix split must reproduce bit for bit."""
-    images = trainer_module._resized_images(train_set.samples, model.config.input_size)
+    h, w, _ = model.config.input_size
+    images = [float_image(s.image) for s in train_set.samples]
+    images = [i if i.shape[1:] == (h, w) else resize_bilinear(i, h, w) for i in images]
     labels = train_set.labels()
     onehot = np.eye(model.config.num_classes, dtype=np.float32)
     velocity = {k: np.zeros_like(a) for k, a in trainer_module._live_arrays(model).items()}
@@ -97,7 +101,7 @@ def whole_network_loop(model, train_set, test_set, cfg):
             batch = np.stack(
                 [
                     augment(
-                        float_image(images[i]),
+                        images[i],
                         cfg.augment,
                         derive_seed(cfg.shuffle_seed, epoch, train_set.samples[i].id),
                     )
@@ -120,18 +124,20 @@ def whole_network_loop(model, train_set, test_set, cfg):
 
 @pytest.mark.parametrize("case", ["freeze", "fc1_frozen", "nothing_frozen"])
 def test_parameters_and_history_keep_their_bits(monkeypatch, tmp_path, case):
-    train_set, test_set = datasets()
     model = finetune_model(case)
-    runs = []
-    for processes in (1, 2, 3):
-        trained, history = train_over(
-            monkeypatch, processes, model, train_set, test_set, CFG, timer=lambda: 0.0
-        )
-        runs.append(run_bytes(trained, history, tmp_path))
-    assert runs[1] == runs[0]
-    assert runs[2] == runs[0]
-    monkeypatch.setattr(trainer_module, "_eval_processes", lambda batches: 1)
-    assert run_bytes(*whole_network_loop(model, train_set, test_set, CFG), tmp_path) == runs[0]
+    for image_size in (16, 20):  # as stored, then resized to the 16x16 input
+        train_set, test_set = datasets(image_size)
+        runs = []
+        for processes in (1, 2, 3):
+            trained, history = train_over(
+                monkeypatch, processes, model, train_set, test_set, CFG, timer=lambda: 0.0
+            )
+            runs.append(run_bytes(trained, history, tmp_path))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        monkeypatch.setattr(trainer_module, "_eval_processes", lambda batches: 1)
+        reference = run_bytes(*whole_network_loop(model, train_set, test_set, CFG), tmp_path)
+        assert reference == runs[0]
 
 
 @pytest.mark.parametrize("case", ["freeze", "fc1_frozen", "nothing_frozen"])

@@ -230,7 +230,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("head", [(12,), ()], ids=["fc1", "no_hidden_layer"])
     def test_freeze_finetune_matches_a_whole_tape_walk(self, monkeypatch, head):
-        # The reference walks every step, as if nothing were frozen, and keeps
+        # The reference tapes every step from the image batch (no frozen
+        # prefix) and walks the whole tape, as if nothing were frozen, keeping
         # the live keys: the trained bits must not depend on where the walk stops.
         ds = toy_dataset()
         src = build_model(tiny_model_config(), seed=3)
@@ -249,14 +250,23 @@ class TestTrainLoop:
         )
         assert dense_calls[-1] == ("fc1" if head else "logits", False)
 
+        walked_kinds = []
+
         def whole_tape(model, tape, grad_logits):
+            walked_kinds.append([(kind, names) for kind, names, _ in tape])
             grads = model_module.backward(replace(model, frozen=frozenset()), tape, grad_logits)
             return {
                 key: g for key, g in grads.items() if key.rsplit(".", 1)[0] not in model.frozen
             }
 
         monkeypatch.setattr(trainer_module, "backward", whole_tape)
+        monkeypatch.setattr(trainer_module, "live_start", lambda model: 0)
         walked, walked_hist = train(dst, ds, ds, quick_cfg(epochs=2))
+        assert walked_kinds and all(
+            kinds[:2] == [("conv", ("conv1",)), ("relu_maxpool", ())]
+            and ("conv", ("conv2",)) in kinds
+            for kinds in walked_kinds
+        )
         for a, b in zip(stopped.params, walked.params):
             assert a.name == b.name
             assert a.weights.tobytes() == b.weights.tobytes(), a.name
@@ -308,6 +318,25 @@ class TestTrainLoop:
             train(model, ds, empty, quick_cfg(epochs=1))
         assert len(calls) == 0
 
+    def test_wrong_channel_test_set_refused_before_first_step(self, monkeypatch):
+        calls = []
+        original = trainer_module.backward
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(trainer_module, "backward", counting)
+        ds = toy_dataset()
+        gray = Dataset(
+            samples=tuple(replace(s, image=s.image[:1]) for s in ds.samples),
+            class_names=ds.class_names,
+        )
+        model = build_model(tiny_model_config(), seed=0)
+        with pytest.raises(ShapeError, match="has 1 channels, model expects 3"):
+            train(model, ds, gray, quick_cfg(epochs=1))
+        assert len(calls) == 0
+
     def test_history_rows_sequential(self):
         ds = toy_dataset()
         model = build_model(tiny_model_config(), seed=0)
@@ -356,9 +385,10 @@ class TestEvaluate:
         assert peak < 12 * 2**20
 
     def test_resizes_one_batch_at_a_time(self, monkeypatch):
-        # Each batch is resized just before its forward pass, so no more than
-        # one batch of resized copies is alive at once.  The events are
-        # counted in this process, so the batches are not split over children.
+        # Each batch is resized just before its forward pass, in evaluate and
+        # in train alike, so no more than one batch of resized copies is alive
+        # at once and none is made up front.  The events are counted in this
+        # process, so the batches are not split over children.
         monkeypatch.setattr(trainer_module, "_eval_processes", lambda batches: 1)
         events = []
         original_resize = trainer_module.resize_bilinear
@@ -375,8 +405,14 @@ class TestEvaluate:
         monkeypatch.setattr(trainer_module, "resize_bilinear", resize)
         monkeypatch.setattr(trainer_module, "forward_cached", forward)
         ds = toy_dataset(n_per_class=3, size=20)  # 9 samples, resized to 16x16
-        evaluate(build_model(tiny_model_config(), seed=0), ds, batch_size=4)
-        assert events == (["resize"] * 4 + ["forward"]) * 2 + ["resize", "forward"]
+        model = build_model(tiny_model_config(), seed=0)
+        batches_of_4 = (["resize"] * 4 + ["forward"]) * 2 + ["resize", "forward"]
+        evaluate(model, ds, batch_size=4)
+        assert events == batches_of_4
+        events.clear()
+        train(model, ds, ds, replace(quick_cfg(epochs=1), batch_size=4))
+        # The epoch's test pass evaluates its 9 images in one batch.
+        assert events == batches_of_4 + ["resize"] * 9 + ["forward"]
 
     @pytest.mark.parametrize("attention", [True, False])
     def test_probabilities_match_taped_forward(self, attention):
